@@ -12,7 +12,7 @@ import csv
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -282,9 +282,12 @@ def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
             path.write_text(render_curve_svg(f"{model} {kind.upper()}", pair), encoding="utf-8")
             written.append(path)
 
+    # field order, not the dict's: a config reloaded from report.json comes back sorted
+    order = {f.name: i for i, f in enumerate(fields(ExperimentConfig))}
+    keys = sorted(report.config, key=lambda key: order.get(key, len(order)))
     path = out / "config.echo"
     path.write_text(
-        "".join(f"{key} = {value}\n" for key, value in report.config.items()), encoding="utf-8"
+        "".join(f"{key} = {report.config[key]}\n" for key in keys), encoding="utf-8"
     )
     written.append(path)
     return written
@@ -438,13 +441,26 @@ def write_reduced_csv(
 def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[-2:] != ["label", "split"]:
-            raise ValueError(f"{path}: expected trailing 'label,split' columns")
+            raise ValueError(f"{path}:1: expected trailing 'label,split' columns")
         k = len(header) - 2
         values, labels, splits = [], [], []
         for record in reader:
-            values.append([float(v) for v in record[:k]])
+            where = f"{path}:{reader.line_num}"
+            if len(record) != k + 2:
+                raise ValueError(f"{where}: expected {k + 2} fields, found {len(record)}")
+            try:
+                values.append([float(v) for v in record[:k]])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if record[k] not in ("-1", "1"):
+                raise ValueError(f"{where}: label must be -1 or 1, found {record[k]!r}")
+            if record[k + 1] not in SPLIT_NAMES:
+                raise ValueError(
+                    f"{where}: split must be one of {', '.join(SPLIT_NAMES)}, "
+                    f"found {record[k + 1]!r}"
+                )
             labels.append(int(record[k]))
             splits.append(record[k + 1])
     return (

@@ -158,12 +158,3 @@ def read_curve_csv(path: str | Path, kind: str = "roc") -> Curve:
     points = np.asarray([[float(v) for v in line.split(",")] for line in lines[1:]])
     return Curve(points=points, auc=_trapezoid(points), kind=kind)
 
-
-def predict_labels(scores) -> np.ndarray:
-    """sign(score) with sign(0) = +1."""
-    return np.where(np.asarray(scores) >= 0.0, 1, -1)
-
-
-def accuracy_of(labels, scores) -> float:
-    labels, scores = _check_scored(labels, scores)
-    return float(np.mean(predict_labels(scores) == labels))

@@ -178,15 +178,29 @@ def save_mlp(model: MlpModel, path: str | Path) -> None:
 
 def load_mlp(path: str | Path) -> MlpModel:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    head = lines[0].split()
-    if head[0] != "mlp" or len(head) < 3:
-        raise ValueError(f"{path}: not an mlp checkpoint")
+    head = lines[0].split() if lines else []
+    if (
+        len(head) < 3
+        or head[0] != "mlp"
+        or not all(v.isdigit() for v in head[1:])
+        or head[-1] != "1"
+    ):
+        raise ValueError(f"{path}: not an mlp checkpoint (header {' '.join(head)!r})")
     sizes = [int(v) for v in head[1:]]
-    values = iter(float(v) for v in lines[1:])
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(
-            np.asarray([next(values) for _ in range(fan_out * fan_in)]).reshape(fan_out, fan_in)
+    shapes = list(zip(sizes[1:], sizes[:-1]))
+    expected = sum(fan_out * fan_in + fan_out for fan_out, fan_in in shapes)
+    if len(lines) - 1 != expected:
+        raise ValueError(
+            f"{path}: expected {expected} values for layer sizes {sizes}, found {len(lines) - 1}"
         )
-        biases.append(np.asarray([next(values) for _ in range(fan_out)]))
+    try:
+        values = np.asarray([float(v) for v in lines[1:]])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    weights, biases, at = [], [], 0
+    for fan_out, fan_in in shapes:
+        weights.append(values[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(values[at : at + fan_out])
+        at += fan_out
     return MlpModel(layer_sizes=sizes, weights=weights, biases=biases)

@@ -1,8 +1,23 @@
 """Variational quantum classifier: angle encoding, RY layers with a linear
-CNOT chain, Pauli-Z readout, hinge loss, parameter-shift gradients.
+CNOT chain, Pauli-Z readout, hinge loss, adjoint gradients.
 
 The score of a sample is <Z> on the readout qubit in [-1, 1]; the predicted
 class is its sign (ties go to +1). Training is full-batch Adam.
+
+Every gate of the model is real, so scoring and training run on float64
+amplitudes in row blocks of about 1 MiB (`_forward`). The encoding
+RY(pi*x) and the layer-0 RY(theta) fuse into one rotation, so the state
+after layer 0 is a product state; each CNOT chain 0->1->...->n-1 is one
+index permutation; the last chain folds into the readout as a +-1 sign
+vector. The training gradient (`parameter_shift_grad`, named for the rule
+it replaced) is computed by adjoint differentiation (Jones & Gacon,
+arXiv:2009.02823): one forward pass and one backward sweep over the rows
+inside the hinge margin give all layers x qubits derivatives.
+
+The reference oracle is `qnn_score_grad`: the per-sample two-point
+parameter shift on the complex gate-kernel path of `simulator`
+(`_variational_amps`). Tests pit the fast path against it, against
+`run_circuit(build_model_circuit(...))` and against finite differences.
 """
 from __future__ import annotations
 
@@ -21,16 +36,15 @@ from .simulator import (
     cnot,
     encode_features,
     encode_features_amps,
-    expectation_z,
     expectation_z_amps,
-    run_circuit,
     ry,
 )
 
 SHIFT = math.pi / 2  # exact-gradient shift for RY parameters
 
-# cap the amplitudes held in memory at once when batching large registers
-_CHUNK_AMPLITUDES = 2**23
+# state bytes per row block: small enough to stay in L2 while a block is
+# pushed through every layer
+_BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -83,9 +97,80 @@ def build_model_circuit(model: QnnModel, x) -> QuantumCircuit:
 
 
 def qnn_forward(model: QnnModel, x) -> float:
-    """Score a single sample: <Z> on the readout qubit."""
-    state = run_circuit(build_model_circuit(model, x))
-    return expectation_z(state, model.readout_qubit)
+    """Score a single sample: <Z> on the readout qubit (a batch of one)."""
+    vec = np.asarray(x, dtype=float)
+    if vec.shape != (model.n_qubits,):
+        raise ValueError(f"expected {model.n_qubits} features, got shape {vec.shape}")
+    return float(qnn_scores(model, vec[None, :])[0])
+
+
+def _block_rows(n_qubits: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * 2**n_qubits))
+
+
+def _chain_maps(n_qubits: int, readout: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps of the CNOT chain 0->1->...->n-1 and the readout it folds into.
+
+    The chain sends basis state b to its prefix parities c (c_k = b_0 ^ ... ^ b_k).
+    Returns (gather, scatter, sign): chained = state[:, gather] applies the chain,
+    state = chained[:, scatter] undoes it, and <Z_readout> after the chain is
+    sum(state**2 * sign) before it.
+    """
+    idx = np.arange(2**n_qubits)
+    gather = idx ^ ((idx << 1) & (2**n_qubits - 1))
+    scatter = np.empty_like(gather)
+    scatter[gather] = idx
+    sign = 1.0 - 2.0 * ((scatter >> readout) & 1)
+    return gather, scatter, sign
+
+
+def _rotate(psi: np.ndarray, angles: np.ndarray) -> None:
+    """RY(angles[q]) on every qubit q of a real (rows, 2**n) state, in place."""
+    for q, angle in enumerate(angles):
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        pairs = psi.reshape(-1, 2, 2**q)
+        a0, a1 = pairs[:, 0], pairs[:, 1]
+        if q < 3:
+            # runs of 2**q amplitudes are too short for numpy's inner loop;
+            # iterate along the long strided axis instead (order="C" below)
+            a0, a1 = a0.T, a1.T
+        s_a1 = np.multiply(a1, s, order="C")
+        s_a0 = np.multiply(a0, s, order="C")
+        np.multiply(a0, c, out=a0, order="C")
+        np.subtract(a0, s_a1, out=a0, order="C")
+        np.multiply(a1, c, out=a1, order="C")
+        np.add(a1, s_a0, out=a1, order="C")
+
+
+def _forward(theta: np.ndarray, X: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """Real state of a row block just before the last CNOT chain.
+
+    theta is (layers, qubits). Layer 0 fuses with the encoding,
+    RY(theta)RY(pi*x) = RY(pi*x + theta), so it is built as a product state.
+    """
+    half = (math.pi * X + theta[0]) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    psi = np.stack((c[:, 0], s[:, 0]), axis=1)
+    for q in range(1, X.shape[1]):
+        # qubit q becomes the new most significant bit
+        psi = (np.stack((c[:, q], s[:, q]), axis=1)[:, :, None] * psi[:, None, :]).reshape(
+            X.shape[0], -1
+        )
+    for angles in theta[1:]:
+        psi = np.take(psi, gather, axis=1)
+        _rotate(psi, angles)
+    return psi
+
+
+def _layer_grad(psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """<lam| J_q |psi> summed over rows for every qubit q, J = -iY = [[0, -1], [1, 0]]."""
+    n_qubits = psi.shape[1].bit_length() - 1
+    out = np.empty(n_qubits)
+    for q in range(n_qubits):
+        p = psi.reshape(-1, 2, 2**q)
+        u = lam.reshape(-1, 2, 2**q)
+        out[q] = np.einsum("ij,ij->", u[:, 1], p[:, 0]) - np.einsum("ij,ij->", u[:, 0], p[:, 1])
+    return out
 
 
 def _variational_amps(
@@ -100,10 +185,6 @@ def _variational_amps(
     return amps
 
 
-def _chunk_rows(n_qubits: int) -> int:
-    return max(1, _CHUNK_AMPLITUDES // (2**n_qubits))
-
-
 def qnn_scores(model: QnnModel, X: np.ndarray) -> np.ndarray:
     """Batch scores for a (B, n_qubits) feature matrix."""
     X = np.asarray(X, dtype=float)
@@ -111,13 +192,21 @@ def qnn_scores(model: QnnModel, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (batch, {model.n_qubits}) features, got {X.shape}")
     if model.params is None:
         raise ValueError("model has no parameters; initialize or train first")
+    theta = model.params.reshape(model.n_layers, model.n_qubits)
+    gather, _, sign = _chain_maps(model.n_qubits, model.readout_qubit)
     out = np.empty(X.shape[0])
-    step = _chunk_rows(model.n_qubits)
+    step = _block_rows(model.n_qubits)
     for start in range(0, X.shape[0], step):
         rows = slice(start, start + step)
-        amps = encode_features_amps(X[rows])
-        amps = _variational_amps(model.params, amps, model.n_qubits, model.n_layers)
-        out[rows] = expectation_z_amps(amps, model.readout_qubit, model.n_qubits)
+        psi = _forward(theta, X[rows], gather)
+        psi *= psi
+        psi *= sign
+        # halving sums: a fixed order per row, so a row scores the same in any block
+        width = psi.shape[1]
+        while width > 1:
+            width //= 2
+            psi[:, :width] += psi[:, width : 2 * width]
+        out[rows] = psi[:, 0]
     return out
 
 
@@ -155,12 +244,15 @@ def _shifted_score(model: QnnModel, j: int, delta: float, enc_amps: np.ndarray) 
 
 
 def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the mean hinge loss over a batch.
+    """Gradient of the mean hinge loss over a batch, computed by adjoint differentiation.
 
     The hinge contributes -y per sample strictly inside the margin and 0
-    otherwise (subgradient 0 exactly at the kink); the score derivative is
-    the exact two-point parameter shift. Samples past the margin are
-    skipped entirely since their contribution is zero.
+    otherwise (subgradient 0 exactly at the kink); samples past the margin
+    are skipped. For the rest, one forward pass gives the final state psi and
+    lam = weight * sign * psi; walking back one layer at a time, every qubit's
+    derivative in that layer is <lam|J_q psi>, then RY(-theta) and the inverse
+    chain step both back. The result equals the exact two-point parameter
+    shift (`qnn_score_grad`) weighted by the hinge.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -169,19 +261,21 @@ def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray) -> np.nd
     scores = qnn_scores(model, X)
     weight = np.where(y * scores < 1.0, -y.astype(float), 0.0) / X.shape[0]
     active = np.nonzero(weight)[0]
-    grad = np.zeros(model.n_params)
-    if active.size == 0:
-        return grad
-    step = _chunk_rows(model.n_qubits)
+    theta = model.params.reshape(model.n_layers, model.n_qubits)
+    grad = np.zeros_like(theta)
+    gather, scatter, sign = _chain_maps(model.n_qubits, model.readout_qubit)
+    step = _block_rows(model.n_qubits)
     for start in range(0, active.size, step):
         rows = active[start : start + step]
-        enc = encode_features_amps(X[rows])
-        w = weight[rows]
-        for j in range(model.n_params):
-            plus = _shifted_score(model, j, +SHIFT, enc)
-            minus = _shifted_score(model, j, -SHIFT, enc)
-            grad[j] += w @ ((plus - minus) / 2.0)
-    return grad
+        psi = _forward(theta, X[rows], gather)
+        lam = psi * sign * weight[rows, None]
+        for layer in range(model.n_layers - 1, -1, -1):
+            grad[layer] += _layer_grad(psi, lam)
+            if layer:
+                _rotate(psi, -theta[layer])
+                _rotate(lam, -theta[layer])
+                psi, lam = np.take(psi, scatter, axis=1), np.take(lam, scatter, axis=1)
+    return grad.ravel()
 
 
 def train_qnn(
@@ -237,9 +331,18 @@ def save_qnn(model: QnnModel, path: str | Path) -> None:
 
 def load_qnn(path: str | Path) -> QnnModel:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "qnn":
-        raise ValueError(f"{path}: not a qnn checkpoint")
+    head = lines[0].split() if lines else []
+    if len(head) != 4 or head[0] != "qnn" or not all(v.isdigit() for v in head[1:]):
+        raise ValueError(f"{path}: not a qnn checkpoint (header {' '.join(head)!r})")
     n_qubits, n_layers, readout = (int(v) for v in head[1:])
-    params = np.asarray([float(v) for v in lines[1 : 1 + n_layers * n_qubits]])
-    return QnnModel(n_qubits=n_qubits, n_layers=n_layers, params=params, readout_qubit=readout)
+    expected = n_qubits * n_layers
+    if len(lines) - 1 != expected:
+        raise ValueError(
+            f"{path}: expected {expected} parameters for {n_qubits} qubits x {n_layers} "
+            f"layers, found {len(lines) - 1}"
+        )
+    try:
+        params = np.asarray([float(v) for v in lines[1:]])
+        return QnnModel(n_qubits=n_qubits, n_layers=n_layers, params=params, readout_qubit=readout)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

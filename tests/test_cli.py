@@ -178,3 +178,16 @@ def test_evaluate_unknown_split_fails(synth_csv, tmp_path, capsys):
         ["evaluate", "--checkpoint", str(reduced), "--input", str(reduced), "--split", "nope"]
     )
     assert code == 1
+
+
+def test_evaluate_truncated_checkpoint_names_file(synth_csv, tmp_path, capsys):
+    reduced = tmp_path / "reduced.csv"
+    assert main(
+        ["preprocess", "--data-path", str(synth_csv), "--seed", "5",
+         "--pca-components", "3", "--output", str(reduced)]
+    ) == 0
+    checkpoint = tmp_path / "qnn_model.txt"
+    checkpoint.write_text("qnn 3 2 2\n0.1\n0.2\n")
+    assert main(["evaluate", "--checkpoint", str(checkpoint), "--input", str(reduced)]) == 1
+    err = capsys.readouterr().err
+    assert f"{checkpoint}: expected 6 parameters" in err and "found 2" in err

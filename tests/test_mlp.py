@@ -192,3 +192,22 @@ def test_checkpoint_round_trip(tmp_path):
     assert again.layer_sizes == model.layer_sizes
     for a, b in zip(again.weights + again.biases, model.weights + model.biases):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["truncated", "over-long"])
+def test_checkpoint_wrong_value_count_names_path_and_counts(tmp_path, extra):
+    path = tmp_path / "mlp.txt"
+    save_mlp(init_mlp([2, 3, 1], seed=4), path)  # 3*2 + 3 + 1*3 + 1 = 13 values
+    lines = path.read_text().splitlines()
+    lines = lines[:extra] if extra < 0 else lines + ["0.0"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"{path.name}: expected 13 values .* found {13 + extra}"):
+        load_mlp(path)
+
+
+@pytest.mark.parametrize("head", ["", "mlp 2", "mlp 2 x 1", "mlp 2 3 2", "qnn 2 1 1"])
+def test_checkpoint_bad_header_rejected(tmp_path, head):
+    path = tmp_path / "mlp.txt"
+    path.write_text(head + "\n0.5\n")
+    with pytest.raises(ValueError, match=f"{path.name}: not an mlp checkpoint"):
+        load_mlp(path)

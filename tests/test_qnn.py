@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from qmlrobust.qnn import (
     save_qnn,
     train_qnn,
 )
-from qmlrobust.simulator import run_circuit
+from qmlrobust.simulator import expectation_z, run_circuit
 
 
 def model_with(n, layers, params=None, seed=0):
@@ -110,6 +111,15 @@ def test_batch_scores_match_single_forward():
     np.testing.assert_array_equal(batch, singles)
 
 
+def test_scores_do_not_depend_on_row_blocks():
+    # at 11 qubits a row block holds 64 rows, so these batches split differently
+    rng = np.random.default_rng(12)
+    model = model_with(11, 2, seed=3)
+    X = rng.uniform(0, 1, size=(150, 11))
+    pieces = np.concatenate([qnn_scores(model, X[a:b]) for a, b in ((0, 1), (1, 77), (77, 150))])
+    np.testing.assert_array_equal(qnn_scores(model, X), pieces)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), j=st.integers(0, 7))
 def test_two_pi_shift_invariance(seed, j):
@@ -183,6 +193,66 @@ def test_gradient_empty_batch_rejected():
     model = model_with(2, 1)
     with pytest.raises(ValueError):
         parameter_shift_grad(model, np.zeros((0, 2)), np.zeros(0))
+
+
+# --- properties against the oracles ----------------------------------------------
+
+
+@st.composite
+def random_problems(draw):
+    """A model of width 1-8, 1-3 layers and any readout qubit, with a labelled batch."""
+    n = draw(st.integers(1, 8))
+    layers = draw(st.integers(1, 3))
+    readout = draw(st.integers(0, n - 1))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = QnnModel(n, layers, rng.uniform(-2 * np.pi, 2 * np.pi, n * layers), readout)
+    X = rng.uniform(0, 1, size=(rows, n))
+    y = rng.choice([-1, 1], size=rows)
+    return model, X, y
+
+
+def hinge_weights(model, X, y):
+    return np.where(y * qnn_scores(model, X) < 1.0, -y.astype(float), 0.0) / X.shape[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=random_problems())
+def test_scores_match_gate_list_simulator(problem):
+    model, X, _ = problem
+    slow = np.array(
+        [expectation_z(run_circuit(build_model_circuit(model, x)), model.readout_qubit) for x in X]
+    )
+    assert np.max(np.abs(qnn_scores(model, X) - slow)) <= 1e-12
+    assert np.max(np.abs([qnn_forward(model, x) for x in X] - slow)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=random_problems())
+def test_adjoint_gradient_matches_weighted_shift_rule(problem):
+    model, X, y = problem
+    weight = hinge_weights(model, X, y)
+    expected = sum(w * qnn_score_grad(model, x) for w, x in zip(weight, X))
+    assert np.max(np.abs(parameter_shift_grad(model, X, y) - expected)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=random_problems())
+def test_adjoint_gradient_matches_central_differences(problem):
+    # hinge weights frozen at the unshifted parameters, so no kink is crossed;
+    # step 1e-5 leaves O(h^2) + roundoff/h well below the tolerance
+    model, X, y = problem
+    weight = hinge_weights(model, X, y)
+    step = 1e-5
+    fd = np.empty(model.n_params)
+    for j in range(model.n_params):
+        shifted = []
+        for delta in (step, -step):
+            params = model.params.copy()
+            params[j] += delta
+            shifted.append(weight @ qnn_scores(replace(model, params=params), X))
+        fd[j] = (shifted[0] - shifted[1]) / (2 * step)
+    assert np.max(np.abs(parameter_shift_grad(model, X, y) - fd)) <= 1e-8
 
 
 # --- Adam ---------------------------------------------------------------------
@@ -286,3 +356,24 @@ def test_checkpoint_round_trip(tmp_path):
     assert again.n_qubits == 3 and again.n_layers == 2
     assert again.readout_qubit == model.readout_qubit
     np.testing.assert_array_equal(again.params, model.params)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["truncated", "over-long"])
+def test_checkpoint_wrong_value_count_names_path_and_counts(tmp_path, extra):
+    path = tmp_path / "qnn.txt"
+    save_qnn(model_with(3, 2, seed=9), path)
+    lines = path.read_text().splitlines()
+    lines = lines[:extra] if extra < 0 else lines + ["0.0"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"{path.name}: expected 6 parameters .* found {6 + extra}"):
+        load_qnn(path)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "qnn 2 1\n0\n0\n", "qnn 2 x 1\n0\n0\n", "qnn 2 1 5\n0\n0\n", "qnn 1 1 0\nabc\n"]
+)
+def test_checkpoint_bad_header_or_value_names_path(tmp_path, text):
+    path = tmp_path / "qnn.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"{path.name}: "):
+        load_qnn(path)
