@@ -27,13 +27,12 @@ from .metrics import (
     scalar_metrics,
 )
 from .mlp import MlpModel, init_mlp, mlp_forward, mlp_gradients, mlp_scores, train_mlp
-from .optim import AdamState, EpochRecord, adam_step
+from .optim import AdamState, EpochRecord, adam_step, hinge_loss
 from .pca import PcaModel, fit_pca, project, transform_pca
 from .perturb import PerturbationConfig, add_perturbation, build_adversarial_set
 from .qnn import (
     QnnModel,
     build_model_circuit,
-    hinge_loss,
     parameter_shift_grad,
     qnn_forward,
     qnn_scores,

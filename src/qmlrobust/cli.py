@@ -201,14 +201,15 @@ def _cmd_attack(cfg: ExperimentConfig, args) -> None:
 
 
 def _load_checkpoint(path: str):
+    """(input width, batch score function) of a qnn or mlp checkpoint."""
     with open(path, encoding="utf-8") as fh:
         head = fh.readline().split()
     if head and head[0] == "qnn":
         model = load_qnn(path)
-        return lambda X: qnn_scores(model, X)
+        return model.n_qubits, lambda X: qnn_scores(model, X)
     if head and head[0] == "mlp":
         model = load_mlp(path)
-        return lambda X: mlp_scores(model, X)
+        return model.n_inputs, lambda X: mlp_scores(model, X)
     raise ValueError(f"{path}: unrecognized checkpoint header {head[:1]}")
 
 
@@ -219,7 +220,12 @@ def _cmd_evaluate(cfg: ExperimentConfig, args) -> None:
         if rows.size == 0:
             raise ValueError(f"no rows in split {args.split!r}")
         data = subset(data, rows)
-    score_fn = _load_checkpoint(args.checkpoint)
+    width, score_fn = _load_checkpoint(args.checkpoint)
+    if width != data.n_features:
+        raise ValueError(
+            f"checkpoint {args.checkpoint} takes {width} features, "
+            f"but {args.input} has {data.n_features}"
+        )
     scores = score_fn(data.values)
     cm = confusion(data.labels, scores)
     metrics = scalar_metrics(cm)

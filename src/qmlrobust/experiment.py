@@ -13,11 +13,13 @@ import json
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
+    CHUNK_ROWS,
     DatasetSplits,
     FeatureMatrix,
     encode_and_normalize,
@@ -149,6 +151,7 @@ def reduce_dataset(cfg: ExperimentConfig) -> tuple[FeatureMatrix, DatasetSplits]
         raw = load_csv(cfg.data_path, cfg.label_column)
     with _stage("encode"):
         features = encode_and_normalize(raw)
+        del raw  # the parsed text columns are not needed past encoding
     with _stage("split"):
         splits = shuffle_and_split(features, stage_seed(cfg.seed, "shuffle"))
     with _stage("pca"):
@@ -358,7 +361,10 @@ def render_curve_svg(title: str, named_curves: list[tuple[str, Curve]]) -> str:
         )
     for i, (name, curve) in enumerate(named_curves):
         color = _CURVE_COLORS.get(name, "#2ca02c")
-        pts = " ".join(f"{sx(px)},{sy(py)}" for px, py in curve.points)
+        # the same operations as sx/sy, one column at a time
+        xs = _MARGIN_L + curve.points[:, 0] * plot_w
+        ys = _MARGIN_T + (1.0 - curve.points[:, 1]) * plot_h
+        pts = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * i}" font-size="11" '
@@ -429,16 +435,30 @@ def load_report_json(path: str | Path) -> Report:
 def write_reduced_csv(
     data: FeatureMatrix, split_names: np.ndarray, path: str | Path
 ) -> None:
-    """PCA-reduced rows with labels and split membership, full float precision."""
+    """PCA-reduced rows with labels and split membership, full float precision.
+
+    Lines end in "\r\n", as csv.writer writes them; no cell needs quoting.
+    """
     k = data.n_features
+    line = "{:.17e}," * k + "{},{}\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"pc{j + 1}" for j in range(k)] + ["label", "split"])
-        for row, label, split in zip(data.values, data.labels, split_names):
-            writer.writerow([format(v, ".17e") for v in row] + [int(label), split])
+        fh.write(",".join([f"pc{j + 1}" for j in range(k)] + ["label", "split"]) + "\r\n")
+        for start in range(0, data.n_samples, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            cells = [
+                *data.values[rows].T.tolist(),
+                data.labels[rows].tolist(),
+                split_names[rows].tolist(),
+            ]
+            fh.writelines(map(line.format, *cells))
 
 
 def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
+    """Parse a `write_reduced_csv` file column by column, as `load_csv` does.
+
+    When a chunk fails a check, the file is read again record by record,
+    so the error names the first bad line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -446,12 +466,41 @@ def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
             raise ValueError(f"{path}:1: expected trailing 'label,split' columns")
         k = len(header) - 2
         values, labels, splits = [], [], []
+        while chunk := list(islice(reader, CHUNK_ROWS)):
+            try:
+                if set(map(len, chunk)) != {k + 2}:
+                    raise ValueError("ragged")
+                *features, label, split = zip(*chunk)
+                if not set(label) <= {"-1", "1"} or not set(split) <= set(SPLIT_NAMES):
+                    raise ValueError("label or split")
+                values.append(np.array(features, dtype=float).reshape(k, len(chunk)).T)
+            except ValueError:
+                _raise_first_bad_record(path, k)
+                raise
+            labels.append(np.array(label) == "1")
+            splits += split
+    if not values:
+        raise ValueError(f"{path}: no rows (header only)")
+    return (
+        FeatureMatrix(
+            values=np.ascontiguousarray(np.concatenate(values)),
+            labels=np.where(np.concatenate(labels), 1, -1),
+        ),
+        np.asarray(splits),
+    )
+
+
+def _raise_first_bad_record(path: str | Path, k: int) -> None:
+    """Check a reduced CSV one record at a time; raise naming the first bad line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for record in reader:
             where = f"{path}:{reader.line_num}"
             if len(record) != k + 2:
                 raise ValueError(f"{where}: expected {k + 2} fields, found {len(record)}")
             try:
-                values.append([float(v) for v in record[:k]])
+                list(map(float, record[:k]))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             if record[k] not in ("-1", "1"):
@@ -461,12 +510,6 @@ def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
                     f"{where}: split must be one of {', '.join(SPLIT_NAMES)}, "
                     f"found {record[k + 1]!r}"
                 )
-            labels.append(int(record[k]))
-            splits.append(record[k + 1])
-    return (
-        FeatureMatrix(values=np.asarray(values), labels=np.asarray(labels, dtype=int)),
-        np.asarray(splits),
-    )
 
 
 def split_name_column(splits: DatasetSplits, n: int) -> np.ndarray:

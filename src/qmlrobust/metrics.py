@@ -146,9 +146,8 @@ def pr_curve(labels, scores) -> Curve:
 
 
 def write_curve_csv(curve: Curve, path: str | Path) -> None:
-    lines = ["x,y"]
-    lines += [f"{format(px, '.17e')},{format(py, '.17e')}" for px, py in curve.points]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    body = "".join(map("{:.17e},{:.17e}\n".format, *curve.points.T.tolist()))
+    Path(path).write_text("x,y\n" + body, encoding="utf-8")
 
 
 def read_curve_csv(path: str | Path, kind: str = "roc") -> Curve:

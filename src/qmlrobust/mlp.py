@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureMatrix
-from .optim import AdamState, EpochRecord, adam_step
-from .qnn import mean_hinge_loss
+from .optim import AdamState, EpochRecord, adam_step, mean_hinge_loss
 
 
 @dataclass
@@ -85,11 +84,15 @@ def mlp_gradients(
     y = np.asarray(y)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    scores, hs, zs = _forward_cached(model, X)
-    batch = X.shape[0]
+    return _backprop(model, y, *_forward_cached(model, X))
 
+
+def _backprop(
+    model: MlpModel, y: np.ndarray, scores: np.ndarray, hs: list[np.ndarray], zs: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Backward pass of `mlp_gradients` from a `_forward_cached` result."""
     # d(mean hinge)/d(score), then through tanh
-    dscore = np.where(y * scores < 1.0, -y.astype(float), 0.0) / batch
+    dscore = np.where(y * scores < 1.0, -y.astype(float), 0.0) / scores.shape[0]
     delta = (dscore * (1.0 - scores**2))[:, None]
 
     grads_w = [np.empty_like(W) for W in model.weights]
@@ -151,15 +154,18 @@ def train_mlp(
         adam = AdamState.fresh(_pack(model).size)
 
     history: list[EpochRecord] = []
+    # the post-step forward pass gives this epoch's train loss and the next gradient
+    forward = _forward_cached(model, train.values)
     for _ in range(epochs):
-        gw, gb = mlp_gradients(model, train.values, train.labels)
+        gw, gb = _backprop(model, train.labels, *forward)
+        del forward  # free these activations before the next pass allocates its own
         adam, vec = adam_step(adam, _pack(model), _flatten(gw + gb))
         model = _unpack(vec, model)
-        train_scores = mlp_scores(model, train.values)
+        forward = _forward_cached(model, train.values)
         val_scores = mlp_scores(model, val.values)
         history.append(
             EpochRecord(
-                train_loss=mean_hinge_loss(train.labels, train_scores),
+                train_loss=mean_hinge_loss(train.labels, forward[0]),
                 val_loss=mean_hinge_loss(val.labels, val_scores),
                 val_accuracy=float(np.mean(np.where(val_scores >= 0.0, 1, -1) == val.labels)),
             )

@@ -1,9 +1,23 @@
-"""Adam optimizer with bias correction, shared by both classifier heads."""
+"""Hinge loss and Adam with bias correction, shared by both classifier heads."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+
+def hinge_loss(y: int, score: float) -> float:
+    """max(0, 1 - y*score) for a single labeled score."""
+    if y not in (-1, 1):
+        raise ValueError(f"label must be -1 or +1, got {y}")
+    return max(0.0, 1.0 - y * score)
+
+
+def mean_hinge_loss(labels: np.ndarray, scores: np.ndarray) -> float:
+    labels = np.asarray(labels)
+    if not np.all(np.isin(labels, (-1, 1))):
+        raise ValueError("labels must all be -1 or +1")
+    return float(np.mean(np.maximum(0.0, 1.0 - labels * np.asarray(scores))))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureMatrix
-from .optim import AdamState, EpochRecord, adam_step
+from .optim import AdamState, EpochRecord, adam_step, mean_hinge_loss
+from .optim import hinge_loss  # noqa: F401  (re-exported: callers import it from qnn)
 from .simulator import (
     QuantumCircuit,
     apply_cnot,
@@ -208,20 +209,6 @@ def qnn_scores(model: QnnModel, X: np.ndarray) -> np.ndarray:
             psi[:, :width] += psi[:, width : 2 * width]
         out[rows] = psi[:, 0]
     return out
-
-
-def hinge_loss(y: int, score: float) -> float:
-    """max(0, 1 - y*score) for a single labeled score."""
-    if y not in (-1, 1):
-        raise ValueError(f"label must be -1 or +1, got {y}")
-    return max(0.0, 1.0 - y * score)
-
-
-def mean_hinge_loss(labels: np.ndarray, scores: np.ndarray) -> float:
-    labels = np.asarray(labels)
-    if not np.all(np.isin(labels, (-1, 1))):
-        raise ValueError("labels must all be -1 or +1")
-    return float(np.mean(np.maximum(0.0, 1.0 - labels * np.asarray(scores))))
 
 
 def qnn_score_grad(model: QnnModel, x) -> np.ndarray:

@@ -191,3 +191,16 @@ def test_evaluate_truncated_checkpoint_names_file(synth_csv, tmp_path, capsys):
     assert main(["evaluate", "--checkpoint", str(checkpoint), "--input", str(reduced)]) == 1
     err = capsys.readouterr().err
     assert f"{checkpoint}: expected 6 parameters" in err and "found 2" in err
+
+
+def test_evaluate_width_mismatch_names_both_files(synth_csv, tmp_path, capsys):
+    reduced = tmp_path / "reduced.csv"
+    assert main(
+        ["preprocess", "--data-path", str(synth_csv), "--seed", "5",
+         "--pca-components", "2", "--output", str(reduced)]
+    ) == 0
+    checkpoint = tmp_path / "qnn_model.txt"
+    checkpoint.write_text("qnn 3 1 2\n0.1\n0.2\n0.3\n")
+    assert main(["evaluate", "--checkpoint", str(checkpoint), "--input", str(reduced)]) == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoint} takes 3 features, but {reduced} has 2" in err

@@ -30,6 +30,15 @@ def test_load_small_file(tmp_path):
     assert raw.rows[0] == [1.0, "x", 1.0]
 
 
+def test_rows_view_matches_parsed_rows(tmp_path):
+    path = write(tmp_path, "a,b,class\n1, x ,1\n\n2.5,y,0\n-3,x,1\n")
+    raw = load_csv(path, "class")
+    assert len(raw.rows) == 3
+    assert list(raw.rows) == [[1.0, "x", 1.0], [2.5, "y", 0.0], [-3.0, "x", 1.0]]
+    assert raw.rows[-1] == [-3.0, "x", 1.0]
+    assert all(type(cell) is float for cell in raw.rows[1][::2])
+
+
 def test_load_header_only_is_error(tmp_path):
     path = write(tmp_path, "a,b,class\n")
     with pytest.raises(ValueError, match="no samples"):
@@ -63,9 +72,15 @@ def test_load_empty_cell_is_error(tmp_path):
 
 
 def raw_from(columns, rows, label="class"):
+    """Columnar dataset from rows: all-float columns become arrays, as load_csv builds them."""
     from qmlrobust.data import RawDataset
 
-    return RawDataset(column_names=columns, rows=rows, label_column=label)
+    cells = [list(col) for col in zip(*rows)]
+    parsed = [
+        np.asarray(col, dtype=float) if all(isinstance(v, float) for v in col) else col
+        for col in cells
+    ]
+    return RawDataset(column_names=columns, columns=parsed, label_column=label)
 
 
 def test_minmax_by_definition():
@@ -78,6 +93,12 @@ def test_constant_column_maps_to_zero():
     raw = raw_from(["a", "class"], [[5.0, 0.0], [5.0, 1.0], [5.0, 0.0]])
     fm = encode_and_normalize(raw)
     np.testing.assert_array_equal(fm.values[:, 0], [0.0, 0.0, 0.0])
+
+
+def test_constant_signed_zero_column_maps_to_positive_zero():
+    raw = raw_from(["a", "class"], [[0.0, 0.0], [-0.0, 1.0], [0.0, 0.0]])
+    fm = encode_and_normalize(raw)
+    assert not np.signbit(fm.values[:, 0]).any()
 
 
 def test_labels_remapped_to_plus_minus_one():
