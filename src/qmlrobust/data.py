@@ -93,8 +93,8 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
 
     Cells are parsed as numbers where possible and kept as categorical text
     otherwise. Empty cells are an error (no imputation). Blank lines are
-    skipped but counted, so an error names the record's line as
-    header = 1, first record = 2.
+    skipped. An error names the file line on which the bad record ends, as
+    `csv.reader.line_num` counts it, so quoted cells that span lines count.
     """
     path = Path(path)
     if not path.exists():
@@ -108,7 +108,7 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
         header = [name.strip() for name in header]
         width = len(header)
         pieces: list[list] = [[] for _ in header]
-        for first_line in count(2, CHUNK_ROWS):
+        for first in count(0, CHUNK_ROWS):
             chunk = list(islice(reader, CHUNK_ROWS))
             if not chunk:
                 break
@@ -123,13 +123,14 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
                     # an earlier line may hold the empty cell, so it wins over a later ragged row
                     at = next(i for i, rec in enumerate(chunk) if not all(map(str.strip, rec)))
                     raise ValueError(
-                        f"{path}:{first_line + at}: empty cell (missing values are not supported)"
+                        f"{path}:{_line_of(path, first + at)}: empty cell "
+                        "(missing values are not supported)"
                     )
                 for piece, col in zip(pieces, parsed):
                     piece.append(col)
             if ragged is not None:
                 raise ValueError(
-                    f"{path}:{first_line + ragged}: expected {width} cells, "
+                    f"{path}:{_line_of(path, first + ragged)}: expected {width} cells, "
                     f"got {len(chunk[ragged])}"
                 )
     if not any(pieces):
@@ -139,6 +140,19 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
     return RawDataset(
         column_names=header, columns=[_join(piece) for piece in pieces], label_column=label_column
     )
+
+
+def _line_of(path: Path, record: int) -> int:
+    """Line on which record `record` (0 = first after the header) ends.
+
+    Re-reads the file up to that record; only error paths call it, so the
+    chunked read keeps no line number per record.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, record + 2):
+            pass
+        return reader.line_num
 
 
 def _parse_column(cells: tuple[str, ...]) -> np.ndarray | list[float | str]:

@@ -7,12 +7,17 @@ class is its sign (ties go to +1). Training is full-batch Adam.
 Every gate of the model is real, so scoring and training run on float64
 amplitudes in row blocks of about 1 MiB (`_forward`). The encoding
 RY(pi*x) and the layer-0 RY(theta) fuse into one rotation, so the state
-after layer 0 is a product state; each CNOT chain 0->1->...->n-1 is one
-index permutation; the last chain folds into the readout as a +-1 sign
-vector. The training gradient (`parameter_shift_grad`, named for the rule
-it replaced) is computed by adjoint differentiation (Jones & Gacon,
-arXiv:2009.02823): one forward pass and one backward sweep over the rows
-inside the hinge margin give all layers x qubits derivatives.
+after layer 0 is a product state; every later RY layer is applied as one
+16 x 16 Kronecker gate per group of four qubits, each a batched matmul
+(`_rotate`); each CNOT chain 0->1->...->n-1 is one index permutation; the
+last chain folds into the readout as a +-1 sign vector. The training
+gradient (`parameter_shift_grad`, named for the rule it replaced) is
+computed by adjoint differentiation (Jones & Gacon, arXiv:2009.02823): one
+forward pass and one backward sweep over the rows inside the hinge margin
+give all layers x qubits derivatives. Per layer and group of four qubits,
+one contraction gives the 16 x 16 cross-Gram matrix of the adjoint and the
+state, from which every qubit's derivative is a sum of its entries
+(`_layer_grad`).
 
 The reference oracle is `qnn_score_grad`: the per-sample two-point
 parameter shift on the complex gate-kernel path of `simulator`
@@ -29,7 +34,6 @@ import numpy as np
 
 from .data import FeatureMatrix
 from .optim import AdamState, EpochRecord, adam_step, mean_hinge_loss
-from .optim import hinge_loss  # noqa: F401  (re-exported: callers import it from qnn)
 from .simulator import (
     QuantumCircuit,
     apply_cnot,
@@ -46,6 +50,9 @@ SHIFT = math.pi / 2  # exact-gradient shift for RY parameters
 # state bytes per row block: small enough to stay in L2 while a block is
 # pushed through every layer
 _BLOCK_BYTES = 2**20
+
+# qubits per Kronecker gate in an RY layer: a 16 x 16 matmul per group
+_GROUP = 4
 
 
 @dataclass
@@ -125,29 +132,59 @@ def _chain_maps(n_qubits: int, readout: int) -> tuple[np.ndarray, np.ndarray, np
     return gather, scatter, sign
 
 
-def _rotate(psi: np.ndarray, angles: np.ndarray) -> None:
-    """RY(angles[q]) on every qubit q of a real (rows, 2**n) state, in place."""
-    for q, angle in enumerate(angles):
+def _ry_kron(angles: np.ndarray) -> np.ndarray:
+    """RY(angles[-1]) x ... x RY(angles[0]): the 2**g x 2**g gate of g adjacent qubits.
+
+    Each step is a Kronecker product with the next lower qubit's RY, so
+    angles[0] acts on bit 0 of the gate's index, as in the state's columns.
+    """
+    out = np.ones((1, 1))
+    for angle in angles[::-1]:
         c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        pairs = psi.reshape(-1, 2, 2**q)
-        a0, a1 = pairs[:, 0], pairs[:, 1]
-        if q < 3:
-            # runs of 2**q amplitudes are too short for numpy's inner loop;
-            # iterate along the long strided axis instead (order="C" below)
-            a0, a1 = a0.T, a1.T
-        s_a1 = np.multiply(a1, s, order="C")
-        s_a0 = np.multiply(a0, s, order="C")
-        np.multiply(a0, c, out=a0, order="C")
-        np.subtract(a0, s_a1, out=a0, order="C")
-        np.multiply(a1, c, out=a1, order="C")
-        np.add(a1, s_a0, out=a1, order="C")
+        ry = np.array([[c, -s], [s, c]])
+        out = (out[:, None, :, None] * ry[None, :, None, :]).reshape(2 * len(out), -1)
+    return out
 
 
-def _forward(theta: np.ndarray, X: np.ndarray, gather: np.ndarray) -> np.ndarray:
+def _rotate(
+    psi: np.ndarray, angles: np.ndarray, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """RY(angles[q]) on every qubit q of a real (rows, 2**n) state.
+
+    The qubits split into groups of `_GROUP`; a group's gate is the
+    Kronecker product of its RYs (`_ry_kron`), applied as one matmul over
+    the block. The g qubits from lo up are axis 1 of psi.reshape(-1, 2**g,
+    2**lo); the lowest group is the last axis of psi.reshape(rows, -1, 2**g).
+    Either way every row goes through BLAS calls of the same shape, so a row
+    rotates bit-identically in any block. A flat (rows * 2**(n-4), 16) gemm
+    would not: one row alone goes to gemv, which rounds differently; it was
+    also several times slower at 8 qubits, as BLAS split it across threads.
+    Groups ping-pong between psi and spare, an array of the same shape;
+    both are overwritten. Returns (rotated state, the other array).
+    """
+    for lo in range(0, angles.size, _GROUP):
+        gate = _ry_kron(angles[lo : lo + _GROUP])
+        dim = gate.shape[0]
+        if lo == 0:
+            shape = (psi.shape[0], -1, dim)
+            np.matmul(psi.reshape(shape), gate.T, out=spare.reshape(shape))
+        else:
+            shape = (-1, dim, 2**lo)
+            np.matmul(gate, psi.reshape(shape), out=spare.reshape(shape))
+        psi, spare = spare, psi
+    return psi, spare
+
+
+def _forward(
+    theta: np.ndarray, X: np.ndarray, gather: np.ndarray, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Real state of a row block just before the last CNOT chain.
 
     theta is (layers, qubits). Layer 0 fuses with the encoding,
     RY(theta)RY(pi*x) = RY(pi*x + theta), so it is built as a product state.
+    spare is scratch of the block's state shape. Returns (state, the free
+    array of the two), so callers reuse one scratch array for every block
+    instead of faulting in fresh pages per layer.
     """
     half = (math.pi * X + theta[0]) / 2.0
     c, s = np.cos(half), np.sin(half)
@@ -158,19 +195,45 @@ def _forward(theta: np.ndarray, X: np.ndarray, gather: np.ndarray) -> np.ndarray
             X.shape[0], -1
         )
     for angles in theta[1:]:
-        psi = np.take(psi, gather, axis=1)
-        _rotate(psi, angles)
-    return psi
+        # mode="clip" writes to out directly ("raise" buffers); gather is a
+        # permutation, so nothing is clipped
+        np.take(psi, gather, axis=1, out=spare, mode="clip")
+        psi, spare = _rotate(spare, angles, psi)
+    return psi, spare
+
+
+def _step_back(
+    state: np.ndarray, angles: np.ndarray, scatter: np.ndarray, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Undo one layer: RY(-angles), then the inverse CNOT chain. Returns (state, free array)."""
+    state, spare = _rotate(state, -angles, spare)
+    np.take(state, scatter, axis=1, out=spare, mode="clip")
+    return spare, state
 
 
 def _layer_grad(psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """<lam| J_q |psi> summed over rows for every qubit q, J = -iY = [[0, -1], [1, 0]]."""
+    """<lam| J_q |psi> summed over rows for every qubit q, J = -iY = [[0, -1], [1, 0]].
+
+    Per group of `_GROUP` qubits, one contraction gives the cross-Gram
+    matrix G[a, b] = sum lam[..a..] psi[..b..] over every other index.
+    J_q pairs a = b | 2**j with b (bit j of b clear, j = q - lo) as +1 and
+    the transpose as -1, so <lam|J_q psi> = sum (G - G.T)[b | 2**j, b].
+    """
     n_qubits = psi.shape[1].bit_length() - 1
     out = np.empty(n_qubits)
-    for q in range(n_qubits):
-        p = psi.reshape(-1, 2, 2**q)
-        u = lam.reshape(-1, 2, 2**q)
-        out[q] = np.einsum("ij,ij->", u[:, 1], p[:, 0]) - np.einsum("ij,ij->", u[:, 0], p[:, 1])
+    for lo in range(0, n_qubits, _GROUP):
+        size = min(_GROUP, n_qubits - lo)
+        dim = 2**size
+        if lo == 0:
+            gram = lam.reshape(-1, dim).T @ psi.reshape(-1, dim)
+        else:
+            shape = (-1, dim, 2**lo)
+            gram = np.sum(lam.reshape(shape) @ psi.reshape(shape).transpose(0, 2, 1), axis=0)
+        skew = gram - gram.T
+        b = np.arange(dim)
+        for j in range(size):
+            low = b[(b >> j) & 1 == 0]
+            out[lo + j] = skew[low | (1 << j), low].sum()
     return out
 
 
@@ -197,9 +260,11 @@ def qnn_scores(model: QnnModel, X: np.ndarray) -> np.ndarray:
     gather, _, sign = _chain_maps(model.n_qubits, model.readout_qubit)
     out = np.empty(X.shape[0])
     step = _block_rows(model.n_qubits)
+    scratch = np.empty((min(step, X.shape[0]), sign.size))
     for start in range(0, X.shape[0], step):
         rows = slice(start, start + step)
-        psi = _forward(theta, X[rows], gather)
+        block = X[rows]
+        psi, _ = _forward(theta, block, gather, scratch[: len(block)])
         psi *= psi
         psi *= sign
         # halving sums: a fixed order per row, so a row scores the same in any block
@@ -252,16 +317,17 @@ def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray) -> np.nd
     grad = np.zeros_like(theta)
     gather, scatter, sign = _chain_maps(model.n_qubits, model.readout_qubit)
     step = _block_rows(model.n_qubits)
+    scratch = np.empty((min(step, active.size), sign.size))
     for start in range(0, active.size, step):
         rows = active[start : start + step]
-        psi = _forward(theta, X[rows], gather)
-        lam = psi * sign * weight[rows, None]
+        psi, free = _forward(theta, X[rows], gather, scratch[: rows.size])
+        lam = psi * sign
+        lam *= weight[rows, None]
         for layer in range(model.n_layers - 1, -1, -1):
             grad[layer] += _layer_grad(psi, lam)
             if layer:
-                _rotate(psi, -theta[layer])
-                _rotate(lam, -theta[layer])
-                psi, lam = np.take(psi, scatter, axis=1), np.take(lam, scatter, axis=1)
+                psi, free = _step_back(psi, theta[layer], scatter, free)
+                lam, free = _step_back(lam, theta[layer], scatter, free)
     return grad.ravel()
 
 

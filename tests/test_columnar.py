@@ -40,7 +40,8 @@ def reference_load(path, label_column):
             raise ValueError(f"{path}: empty file, expected a header line") from None
         header = [name.strip() for name in header]
         rows = []
-        for lineno, record in enumerate(reader, start=2):
+        for record in reader:
+            lineno = reader.line_num
             if not record:
                 continue
             if len(record) != len(header):
@@ -122,13 +123,15 @@ NUMBERS = st.one_of(
     st.integers(-50, 50).map(str),
     st.sampled_from(["-0", "1_000", "1e-320", "+3", ".5"]),
 )
-WORDS = st.sampled_from(["red", "green", "blue", "two words", "a,b", 'say "hi"', "UPX", "x1"])
+WORDS = st.sampled_from(
+    ["red", "green", "blue", "two words", "a,b", 'say "hi"', "UPX", "x1", "two\nlines"]
+)
 PAD = st.sampled_from(["", "", " ", "  ", "\t"])
 
 
 def render(body, pad_left, pad_right, quoted):
     """A cell as the file holds it; quoting keeps the padding inside the quotes."""
-    if quoted or any(ch in body for ch in ',"'):
+    if quoted or any(ch in body for ch in ',"\n'):
         return '"' + pad_left + body.replace('"', '""') + pad_right + '"'
     return pad_left + body + pad_right
 
@@ -234,6 +237,24 @@ def test_ragged_row_after_empty_cell_reports_the_empty_cell(tmp_path):
     path.write_text("a,b,class\n1,2,0\n1,,1\n1,2\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"data.csv:3: empty cell"):
         load_csv(path, "class")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('a,b,label\n"x\ny",1,0\n2,1\n', "data.csv:4: expected 3 cells, got 2"),
+        ('a,b,label\n"x\ny",1,0\n2,,1\n', "data.csv:4: empty cell"),
+        ('a,b,label\n1,2,0\n\n"x\n\ny",1\n', "data.csv:6: expected 3 cells, got 2"),
+    ],
+    ids=["ragged", "empty", "blank-line-and-ragged-multiline"],
+)
+def test_error_line_counts_quoted_cells_that_span_lines(tmp_path, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_csv(path, "label")
+    with pytest.raises(ValueError, match=message):
+        reference_load(path, "label")
 
 
 # --- writers -----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from qmlrobust.mlp import (
     save_mlp,
     train_mlp,
 )
-from qmlrobust.qnn import mean_hinge_loss
+from qmlrobust.optim import mean_hinge_loss
 
 
 def zero_model(sizes):

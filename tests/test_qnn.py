@@ -1,19 +1,23 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmlrobust
 from qmlrobust.data import FeatureMatrix
-from qmlrobust.optim import AdamState, adam_step
+from qmlrobust.optim import AdamState, adam_step, hinge_loss, mean_hinge_loss
 from qmlrobust.qnn import (
     QnnModel,
+    _rotate,
     build_model_circuit,
-    hinge_loss,
     load_qnn,
-    mean_hinge_loss,
     parameter_shift_grad,
     qnn_forward,
     qnn_score_grad,
@@ -45,6 +49,18 @@ def finite_difference_grad(model, X, y, step=1e-4):
 
 def kink_adjacent(model, X, y, tol=1e-3):
     return bool(np.any(np.abs(y * qnn_scores(model, X) - 1.0) < tol))
+
+
+def rotate_reference(psi, angles):
+    """RY(angles[q]) on every qubit q of a real (rows, 2**n) state, one butterfly per qubit."""
+    psi = psi.copy()
+    for q, angle in enumerate(angles):
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        pairs = psi.reshape(-1, 2, 2**q)
+        a0, a1 = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0] = c * a0 - s * a1
+        pairs[:, 1] = s * a0 + c * a1
+    return psi
 
 
 # --- circuit construction ---------------------------------------------------
@@ -130,6 +146,18 @@ def test_two_pi_shift_invariance(seed, j):
     shifted = model.params.copy()
     shifted[j] += 2 * np.pi
     assert abs(qnn_forward(model_with(4, 2, params=shifted), x) - base) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_rotate_matches_per_qubit_butterfly(n):
+    # both signs: the adjoint sweep steps back with RY(-theta)
+    rng = np.random.default_rng(n)
+    rows = max(1, 2**14 // 2**n)
+    psi = rng.standard_normal((rows, 2**n))
+    for angles in (rng.uniform(-2 * np.pi, 2 * np.pi, n), -rng.uniform(0, np.pi, n)):
+        expected = rotate_reference(psi, angles)
+        rotated, _ = _rotate(psi.copy(), angles, np.empty_like(psi))
+        assert np.max(np.abs(rotated - expected)) <= 1e-13
 
 
 # --- hinge loss -----------------------------------------------------------------
@@ -253,6 +281,71 @@ def test_adjoint_gradient_matches_central_differences(problem):
             shifted.append(weight @ qnn_scores(replace(model, params=params), X))
         fd[j] = (shifted[0] - shifted[1]) / (2 * step)
     assert np.max(np.abs(parameter_shift_grad(model, X, y) - fd)) <= 1e-8
+
+
+# widths past two groups of four qubits: each has a middle group (qubits 4-7)
+# with qubits on both sides, and 9 and 13 end in a partial group
+WIDE_PROBLEMS = [(9, 1, 3), (9, 3, 0), (12, 2, 5), (12, 1, 10), (13, 3, 7), (13, 2, 11)]
+
+
+def wide_problem(n, layers, readout, rows=3):
+    rng = np.random.default_rng([n, layers, readout])
+    model = QnnModel(n, layers, rng.uniform(-2 * np.pi, 2 * np.pi, n * layers), readout)
+    X = rng.uniform(0, 1, size=(rows, n))
+    y = rng.choice([-1, 1], size=rows)
+    return model, X, y
+
+
+@pytest.mark.parametrize("n, layers, readout", WIDE_PROBLEMS)
+def test_wide_scores_match_gate_list_simulator(n, layers, readout):
+    model, X, _ = wide_problem(n, layers, readout)
+    slow = np.array([expectation_z(run_circuit(build_model_circuit(model, x)), readout) for x in X])
+    assert np.max(np.abs(qnn_scores(model, X) - slow)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, layers, readout", WIDE_PROBLEMS)
+def test_wide_adjoint_gradient_matches_weighted_shift_rule(n, layers, readout):
+    model, X, y = wide_problem(n, layers, readout, rows=2)
+    weight = hinge_weights(model, X, y)
+    assert np.any(weight)
+    expected = sum(w * qnn_score_grad(model, x) for w, x in zip(weight, X) if w)
+    assert np.max(np.abs(parameter_shift_grad(model, X, y) - expected)) <= 1e-12
+
+
+_KERNEL_DIGEST = """
+import hashlib, sys
+import numpy as np
+from qmlrobust.qnn import QnnModel, parameter_shift_grad, qnn_scores
+
+digest = hashlib.sha256()
+for n, rows in ((2, 20000), (8, 300), (12, 70), (13, 40)):
+    rng = np.random.default_rng(n)
+    model = QnnModel(n, 2, rng.uniform(0, np.pi, 2 * n), n // 2)
+    X = rng.uniform(0, 1, size=(rows, n))
+    y = rng.choice([-1, 1], size=rows)
+    digest.update(qnn_scores(model, X).tobytes())
+    digest.update(parameter_shift_grad(model, X, y).tobytes())
+sys.stdout.write(digest.hexdigest())
+"""
+
+
+def test_kernel_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(qmlrobust.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-c", _KERNEL_DIGEST],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        digests.append(run.stdout)
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 # --- Adam ---------------------------------------------------------------------
