@@ -15,7 +15,6 @@ from .experiment import (
     ExperimentConfig,
     Report,
     emit_report,
-    run_experiment,
     run_pipeline,
 )
 from .metrics import (
@@ -26,15 +25,15 @@ from .metrics import (
     roc_curve,
     scalar_metrics,
 )
-from .mlp import MlpModel, init_mlp, mlp_forward, mlp_gradients, mlp_scores, train_mlp
-from .optim import AdamState, EpochRecord, adam_step, hinge_loss
+from .mlp import MlpModel, init_mlp, mlp_gradients, mlp_scores, train_mlp
+from .optim import AdamState, EpochRecord, adam_step, epoch_record, mean_hinge_loss
 from .pca import PcaModel, fit_pca, project, transform_pca
 from .perturb import PerturbationConfig, add_perturbation, build_adversarial_set
 from .qnn import (
     QnnModel,
     build_model_circuit,
+    init_params,
     parameter_shift_grad,
-    qnn_forward,
     qnn_scores,
     train_qnn,
 )

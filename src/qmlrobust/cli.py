@@ -25,6 +25,7 @@ from .data import FeatureMatrix, subset
 from .experiment import (
     EVALUATE_ONLY,
     FINETUNE,
+    MODELS,
     ExperimentConfig,
     emit_report,
     load_report_json,
@@ -164,11 +165,11 @@ def _cmd_run(cfg: ExperimentConfig, args) -> None:
     artifacts = run_pipeline(cfg)
     out = Path(cfg.output_dir)
     emit_report(artifacts.report, out)
-    save_mlp(artifacts.nn, out / "nn_model.txt")
-    save_qnn(artifacts.qnn, out / "qnn_model.txt")
+    for model, save in (("nn", save_mlp), ("qnn", save_qnn)):
+        save(artifacts.models[model], out / f"{model}_model.txt")
     save_report_json(artifacts.report, out / "report.json")
     for title, table in (("before", artifacts.report.before), ("after", artifacts.report.after)):
-        for model in ("nn", "qnn"):
+        for model in MODELS:
             s = table[model]
             print(
                 f"{title:<6} {model:<4} accuracy={s.accuracy:.2f} precision={s.precision:.2f} "

@@ -1,6 +1,11 @@
 """End-to-end experiment runner: preprocess, reduce, train both models,
 attack, evaluate clean vs perturbed, and render the report artifacts.
 
+Both models go through the same protocol: `run_pipeline` loops over
+`MODELS` ("nn", "qnn") with a table of initialized models, trainers and
+scorers, so training, the finetune branch and both evaluations are written
+once.
+
 Everything downstream of the config is deterministic: the master seed is
 fanned out into fixed per-stage substreams (shuffle, init-nn, init-qnn,
 noise, noise-finetune), so e.g. changing the epoch count never changes the
@@ -10,9 +15,8 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -37,19 +41,21 @@ from .metrics import (
     scalar_metrics,
     write_curve_csv,
 )
-from .mlp import MlpModel, init_mlp, mlp_scores, n_parameters, train_mlp
-from .optim import AdamState, EpochRecord
+from .mlp import MlpModel, init_mlp, mlp_scores, train_mlp
+from .optim import EpochRecord
 from .pca import fit_pca, transform_pca
 from .perturb import PerturbationConfig, build_adversarial_set
-from .qnn import QnnModel, build_model_circuit, qnn_scores, train_qnn
+from .qnn import QnnModel, build_model_circuit, init_params, qnn_scores, train_qnn
 from .simulator import circuit_metrics
-
-log = logging.getLogger(__name__)
 
 EVALUATE_ONLY = "evaluate-only"
 FINETUNE = "finetune"
 
 SPLIT_NAMES = ("train", "val", "test", "finetune")
+
+MODELS = ("nn", "qnn")
+SCENARIOS = ("clean", "perturbed")
+CURVE_KINDS = ("roc", "pr")
 
 # fixed substream labels so every stage draws independent randomness
 _STAGE_CODES = {"shuffle": 1, "init-nn": 2, "init-qnn": 3, "noise": 4, "noise-finetune": 5}
@@ -131,8 +137,7 @@ class Report:
 @dataclass
 class PipelineArtifacts:
     report: Report
-    nn: MlpModel
-    qnn: QnnModel
+    models: dict[str, MlpModel | QnnModel]  # trained (and finetuned), keyed by MODELS
     reduced: FeatureMatrix
     splits: DatasetSplits
 
@@ -161,8 +166,10 @@ def reduce_dataset(cfg: ExperimentConfig) -> tuple[FeatureMatrix, DatasetSplits]
 
 
 def _evaluate(labels: np.ndarray, scores: np.ndarray):
+    """(confusion, scalar metrics, curves by kind) of one model on one scenario."""
     cm = confusion(labels, scores)
-    return cm, scalar_metrics(cm), roc_curve(labels, scores), pr_curve(labels, scores)
+    curves = {"roc": roc_curve(labels, scores), "pr": pr_curve(labels, scores)}
+    return cm, scalar_metrics(cm), curves
 
 
 def run_pipeline(cfg: ExperimentConfig) -> PipelineArtifacts:
@@ -174,21 +181,27 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineArtifacts:
     finetune = subset(reduced, splits.finetune_idx)
     k = cfg.pca_components
 
-    with _stage("train-nn"):
-        nn = init_mlp([k, *cfg.mlp_hidden, 1], stage_seed(cfg.seed, "init-nn"))
-        adam = AdamState.fresh(n_parameters(nn), learning_rate=cfg.learning_rate)
-        nn, nn_hist = train_mlp(nn, train, val, cfg.epochs, adam)
-    with _stage("train-qnn"):
-        qnn = QnnModel(n_qubits=k, n_layers=cfg.qnn_layers)
-        adam = AdamState.fresh(qnn.n_params, learning_rate=cfg.learning_rate)
-        qnn, qnn_hist = train_qnn(
-            qnn, train, val, cfg.epochs, adam, seed=stage_seed(cfg.seed, "init-qnn")
-        )
-    histories = {"nn": nn_hist, "qnn": qnn_hist}
+    # built per run, not at import: a function rebound on this module after
+    # import (as the benchmark's tracer does) is the one that runs
+    qnn = QnnModel(n_qubits=k, n_layers=cfg.qnn_layers)
+    models = {
+        "nn": init_mlp([k, *cfg.mlp_hidden, 1], stage_seed(cfg.seed, "init-nn")),
+        "qnn": replace(qnn, params=init_params(qnn, stage_seed(cfg.seed, "init-qnn"))),
+    }
+    trainers = {"nn": train_mlp, "qnn": train_qnn}
+    scorers = {"nn": mlp_scores, "qnn": qnn_scores}
+    histories: dict[str, list[EpochRecord]] = {}
+    results = {}  # (model, scenario) -> _evaluate(...)
+
+    for m in MODELS:
+        with _stage(f"train-{m}"):
+            models[m], histories[m] = trainers[m](
+                models[m], train, val, cfg.epochs, cfg.learning_rate
+            )
 
     with _stage("evaluate-clean"):
-        scores_clean = {"nn": mlp_scores(nn, test.values), "qnn": qnn_scores(qnn, test.values)}
-        clean = {m: _evaluate(test.labels, s) for m, s in scores_clean.items()}
+        for m in MODELS:
+            results[m, "clean"] = _evaluate(test.labels, scorers[m](models[m], test.values))
 
     with _stage("attack"):
         noise_cfg = PerturbationConfig(
@@ -206,56 +219,36 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineArtifacts:
                 fraction=cfg.perturb_fraction,
             )
             adv_ft, _ = build_adversarial_set(finetune, ft_cfg)
-            adam = AdamState.fresh(n_parameters(nn), learning_rate=cfg.learning_rate)
-            nn, hist = train_mlp(nn, adv_ft, val, cfg.epochs, adam)
-            histories["nn_finetune"] = hist
-            adam = AdamState.fresh(qnn.n_params, learning_rate=cfg.learning_rate)
-            qnn, hist = train_qnn(qnn, adv_ft, val, cfg.epochs, adam)
-            histories["qnn_finetune"] = hist
+            for m in MODELS:
+                models[m], histories[f"{m}_finetune"] = trainers[m](
+                    models[m], adv_ft, val, cfg.epochs, cfg.learning_rate
+                )
 
     with _stage("evaluate-perturbed"):
-        scores_adv = {
-            "nn": mlp_scores(nn, adv_test.values),
-            "qnn": qnn_scores(qnn, adv_test.values),
-        }
-        perturbed = {m: _evaluate(adv_test.labels, s) for m, s in scores_adv.items()}
+        for m in MODELS:
+            results[m, "perturbed"] = _evaluate(
+                adv_test.labels, scorers[m](models[m], adv_test.values)
+            )
 
-    qnn_metrics = circuit_metrics(build_model_circuit(qnn, np.zeros(k)))
+    qnn_metrics = circuit_metrics(build_model_circuit(models["qnn"], np.zeros(k)))
     report = Report(
         config=cfg.echo(),
         circuit={
             "size": qnn_metrics.size,
             "depth": qnn_metrics.depth,
             "precision": "float64",
-            "measured_accuracy": clean["qnn"][1].accuracy,
+            "measured_accuracy": results["qnn", "clean"][1].accuracy,
         },
-        before={m: clean[m][1] for m in ("nn", "qnn")},
-        after={m: perturbed[m][1] for m in ("nn", "qnn")},
-        confusions={
-            **{f"{m}_clean": clean[m][0] for m in ("nn", "qnn")},
-            **{f"{m}_perturbed": perturbed[m][0] for m in ("nn", "qnn")},
-        },
-        curves={
-            **{f"{m}_clean_roc": clean[m][2] for m in ("nn", "qnn")},
-            **{f"{m}_clean_pr": clean[m][3] for m in ("nn", "qnn")},
-            **{f"{m}_perturbed_roc": perturbed[m][2] for m in ("nn", "qnn")},
-            **{f"{m}_perturbed_pr": perturbed[m][3] for m in ("nn", "qnn")},
-        },
+        before={m: results[m, "clean"][1] for m in MODELS},
+        after={m: results[m, "perturbed"][1] for m in MODELS},
+        confusions={f"{m}_{s}": r[0] for (m, s), r in results.items()},
+        curves={f"{m}_{s}_{kind}": c for (m, s), r in results.items() for kind, c in r[2].items()},
         histories=histories,
     )
-    return PipelineArtifacts(report=report, nn=nn, qnn=qnn, reduced=reduced, splits=splits)
-
-
-def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Full pipeline; the report is a pure function of the config."""
-    return run_pipeline(cfg).report
+    return PipelineArtifacts(report=report, models=models, reduced=reduced, splits=splits)
 
 
 # --- report emission ---------------------------------------------------
-
-MODELS = ("nn", "qnn")
-SCENARIOS = ("clean", "perturbed")
-CURVE_KINDS = ("roc", "pr")
 
 
 def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
@@ -519,36 +512,3 @@ def split_name_column(splits: DatasetSplits, n: int) -> np.ndarray:
     ):
         names[idx] = name
     return names
-
-
-# --- soft diagnostics ----------------------------------------------------
-
-
-def epsilon_drift_probe(
-    cfg: ExperimentConfig, epsilons: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2)
-) -> dict[str, list[float]]:
-    """Mean |score drift| on the perturbed test set per epsilon, per model.
-
-    A soft directional diagnostic: drift is expected to be nondecreasing in
-    epsilon for a fixed seed. Logged, never asserted.
-    """
-    art = run_pipeline(cfg)
-    test = subset(art.reduced, art.splits.test_idx)
-    baseline = {
-        "nn": mlp_scores(art.nn, test.values),
-        "qnn": qnn_scores(art.qnn, test.values),
-    }
-    drift: dict[str, list[float]] = {"nn": [], "qnn": []}
-    for eps in epsilons:
-        noise_cfg = PerturbationConfig(
-            epsilon=eps, seed=stage_seed(cfg.seed, "noise"), fraction=cfg.perturb_fraction
-        )
-        adv, _ = build_adversarial_set(test, noise_cfg)
-        drift["nn"].append(float(np.mean(np.abs(mlp_scores(art.nn, adv.values) - baseline["nn"]))))
-        drift["qnn"].append(
-            float(np.mean(np.abs(qnn_scores(art.qnn, adv.values) - baseline["qnn"])))
-        )
-    for model, values in drift.items():
-        pretty = ", ".join(f"eps={e:g}: {v:.4f}" for e, v in zip(epsilons, values))
-        log.info("score drift (%s): %s", model, pretty)
-    return drift

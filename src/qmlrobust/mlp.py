@@ -1,5 +1,9 @@
 """Classical feed-forward baseline trained under the same protocol as the
 quantum model: hinge loss, full-batch Adam, tanh output score in (-1, 1).
+
+`train_mlp` has the call shape of `qnn.train_qnn`: it starts from a model
+built by `init_mlp` and takes a learning rate, so the pipeline runs both
+heads through one loop.
 """
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureMatrix
-from .optim import AdamState, EpochRecord, adam_step, mean_hinge_loss
+from .optim import AdamState, EpochRecord, adam_step, epoch_record
 
 
 @dataclass
@@ -29,6 +33,10 @@ class MlpModel:
     @property
     def n_inputs(self) -> int:
         return self.layer_sizes[0]
+
+    @property
+    def n_params(self) -> int:
+        return sum(W.size for W in self.weights) + sum(b.size for b in self.biases)
 
 
 def init_mlp(layer_sizes: list[int], seed: int) -> MlpModel:
@@ -64,14 +72,6 @@ def mlp_scores(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return _forward_cached(model, X)[0]
 
 
-def mlp_forward(model: MlpModel, x) -> float:
-    """Score one sample; predicted class is sign(score) with sign(0) = +1."""
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (model.n_inputs,):
-        raise ValueError(f"expected {model.n_inputs} features, got shape {vec.shape}")
-    return float(mlp_scores(model, vec[None, :])[0])
-
-
 def mlp_gradients(
     model: MlpModel, X: np.ndarray, y: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -105,10 +105,6 @@ def _backprop(
     return grads_w, grads_b
 
 
-def n_parameters(model: MlpModel) -> int:
-    return sum(W.size for W in model.weights) + sum(b.size for b in model.biases)
-
-
 def _flatten(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([a.ravel() for a in arrays])
 
@@ -130,28 +126,21 @@ def _unpack(vec: np.ndarray, model: MlpModel) -> MlpModel:
 
 
 def train_mlp(
-    model: MlpModel | None,
+    model: MlpModel,
     train: FeatureMatrix,
     val: FeatureMatrix,
     epochs: int,
-    adam: AdamState | None = None,
-    seed: int = 0,
-    layer_sizes: list[int] | None = None,
+    learning_rate: float = 0.01,
 ) -> tuple[MlpModel, list[EpochRecord]]:
-    """Full-batch Adam on all weights and biases, mirroring the quantum loop.
+    """Full-batch Adam on all weights and biases from `model`; one history record per epoch.
 
-    Pass model=None with layer_sizes to initialize from the seed.
+    The caller's model is left unchanged.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if train.n_samples == 0 or val.n_samples == 0:
         raise ValueError("train and validation sets must be non-empty")
-    if model is None:
-        if layer_sizes is None:
-            raise ValueError("need either a model or layer_sizes")
-        model = init_mlp(layer_sizes, seed)
-    if adam is None:
-        adam = AdamState.fresh(_pack(model).size)
+    adam = AdamState.fresh(model.n_params, learning_rate)
 
     history: list[EpochRecord] = []
     # the post-step forward pass gives this epoch's train loss and the next gradient
@@ -162,14 +151,7 @@ def train_mlp(
         adam, vec = adam_step(adam, _pack(model), _flatten(gw + gb))
         model = _unpack(vec, model)
         forward = _forward_cached(model, train.values)
-        val_scores = mlp_scores(model, val.values)
-        history.append(
-            EpochRecord(
-                train_loss=mean_hinge_loss(train.labels, forward[0]),
-                val_loss=mean_hinge_loss(val.labels, val_scores),
-                val_accuracy=float(np.mean(np.where(val_scores >= 0.0, 1, -1) == val.labels)),
-            )
-        )
+        history.append(epoch_record(train, forward[0], val, mlp_scores(model, val.values)))
     return model, history
 
 

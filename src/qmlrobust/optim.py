@@ -1,19 +1,21 @@
-"""Hinge loss and Adam with bias correction, shared by both classifier heads."""
+"""Hinge loss, the per-epoch training record and Adam with bias correction,
+shared by both classifier heads."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import FeatureMatrix
 
-def hinge_loss(y: int, score: float) -> float:
-    """max(0, 1 - y*score) for a single labeled score."""
-    if y not in (-1, 1):
-        raise ValueError(f"label must be -1 or +1, got {y}")
-    return max(0.0, 1.0 - y * score)
+# Adam's moment decay rates and the denominator's stabilizer
+BETA1 = 0.9
+BETA2 = 0.999
+EPS_STABILIZER = 1e-8
 
 
 def mean_hinge_loss(labels: np.ndarray, scores: np.ndarray) -> float:
+    """Mean of max(0, 1 - y*score) over labels in {-1, +1}."""
     labels = np.asarray(labels)
     if not np.all(np.isin(labels, (-1, 1))):
         raise ValueError("labels must all be -1 or +1")
@@ -29,25 +31,27 @@ class EpochRecord:
     val_accuracy: float
 
 
+def epoch_record(
+    train: FeatureMatrix, train_scores: np.ndarray, val: FeatureMatrix, val_scores: np.ndarray
+) -> EpochRecord:
+    """Train and validation hinge loss, and validation accuracy with sign(0) = +1."""
+    return EpochRecord(
+        train_loss=mean_hinge_loss(train.labels, train_scores),
+        val_loss=mean_hinge_loss(val.labels, val_scores),
+        val_accuracy=float(np.mean(np.where(val_scores >= 0.0, 1, -1) == val.labels)),
+    )
+
+
 @dataclass
 class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_stabilizer: float = 1e-8
 
     @classmethod
-    def fresh(cls, n_params: int, learning_rate: float = 0.01, **kwargs) -> "AdamState":
-        return cls(
-            step=0,
-            m=np.zeros(n_params),
-            v=np.zeros(n_params),
-            learning_rate=learning_rate,
-            **kwargs,
-        )
+    def fresh(cls, n_params: int, learning_rate: float = 0.01) -> "AdamState":
+        return cls(step=0, m=np.zeros(n_params), v=np.zeros(n_params), learning_rate=learning_rate)
 
 
 def adam_step(
@@ -59,9 +63,9 @@ def adam_step(
             f"shape mismatch: params {params.shape}, grads {grads.shape}, state {state.m.shape}"
         )
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps_stabilizer)
+    m = BETA1 * state.m + (1.0 - BETA1) * grads
+    v = BETA2 * state.v + (1.0 - BETA2) * grads**2
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS_STABILIZER)
     return replace(state, step=t, m=m, v=v), new_params

@@ -2,7 +2,9 @@
 CNOT chain, Pauli-Z readout, hinge loss, adjoint gradients.
 
 The score of a sample is <Z> on the readout qubit in [-1, 1]; the predicted
-class is its sign (ties go to +1). Training is full-batch Adam.
+class is its sign (ties go to +1). Training is full-batch Adam from
+parameters drawn by `init_params`; `train_qnn` has the call shape of
+`mlp.train_mlp`.
 
 Every gate of the model is real, so scoring and training run on float64
 amplitudes in row blocks of about 1 MiB (`_forward`). The encoding
@@ -33,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureMatrix
-from .optim import AdamState, EpochRecord, adam_step, mean_hinge_loss
+from .optim import AdamState, EpochRecord, adam_step, epoch_record
 from .simulator import (
     QuantumCircuit,
     apply_cnot,
@@ -93,7 +95,7 @@ def build_model_circuit(model: QnnModel, x) -> QuantumCircuit:
     if vec.shape != (model.n_qubits,):
         raise ValueError(f"expected {model.n_qubits} features, got shape {vec.shape}")
     if model.params is None:
-        raise ValueError("model has no parameters; initialize or train first")
+        raise ValueError("model has no parameters; draw them with init_params")
     circuit = encode_features(vec)
     for layer in range(model.n_layers):
         base = layer * model.n_qubits
@@ -102,14 +104,6 @@ def build_model_circuit(model: QnnModel, x) -> QuantumCircuit:
         for q in range(model.n_qubits - 1):
             circuit.gates.append(cnot(q, q + 1))
     return circuit
-
-
-def qnn_forward(model: QnnModel, x) -> float:
-    """Score a single sample: <Z> on the readout qubit (a batch of one)."""
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (model.n_qubits,):
-        raise ValueError(f"expected {model.n_qubits} features, got shape {vec.shape}")
-    return float(qnn_scores(model, vec[None, :])[0])
 
 
 def _block_rows(n_qubits: int) -> int:
@@ -255,7 +249,7 @@ def qnn_scores(model: QnnModel, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.n_qubits:
         raise ValueError(f"expected (batch, {model.n_qubits}) features, got {X.shape}")
     if model.params is None:
-        raise ValueError("model has no parameters; initialize or train first")
+        raise ValueError("model has no parameters; draw them with init_params")
     theta = model.params.reshape(model.n_layers, model.n_qubits)
     gather, _, sign = _chain_maps(model.n_qubits, model.readout_qubit)
     out = np.empty(X.shape[0])
@@ -336,23 +330,18 @@ def train_qnn(
     train: FeatureMatrix,
     val: FeatureMatrix,
     epochs: int,
-    adam: AdamState | None = None,
-    seed: int = 0,
+    learning_rate: float = 0.01,
 ) -> tuple[QnnModel, list[EpochRecord]]:
-    """Full-batch Adam for `epochs` epochs; one history record per epoch.
+    """Full-batch Adam from the model's parameters; one history record per epoch.
 
-    If the model carries no parameters they are drawn uniform on [0, pi)
-    from `seed`; otherwise the given parameters are the starting point and
-    the seed is unused.
+    The caller's model is left unchanged. A model without parameters is
+    refused by the first `qnn_scores` call, with a ValueError.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if train.n_samples == 0 or val.n_samples == 0:
         raise ValueError("train and validation sets must be non-empty")
-    params = model.params if model.params is not None else init_params(model, seed)
-    model = replace(model, params=params.copy())
-    if adam is None:
-        adam = AdamState.fresh(model.n_params)
+    adam = AdamState.fresh(model.n_params, learning_rate)
 
     history: list[EpochRecord] = []
     for _ in range(epochs):
@@ -360,16 +349,7 @@ def train_qnn(
         adam, new_params = adam_step(adam, model.params, grads)
         model = replace(model, params=new_params)
         train_scores = qnn_scores(model, train.values)
-        val_scores = qnn_scores(model, val.values)
-        history.append(
-            EpochRecord(
-                train_loss=mean_hinge_loss(train.labels, train_scores),
-                val_loss=mean_hinge_loss(val.labels, val_scores),
-                val_accuracy=float(
-                    np.mean(np.where(val_scores >= 0.0, 1, -1) == val.labels)
-                ),
-            )
-        )
+        history.append(epoch_record(train, train_scores, val, qnn_scores(model, val.values)))
     return model, history
 
 

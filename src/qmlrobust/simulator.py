@@ -1,10 +1,12 @@
-"""Dense statevector simulation of small parameterized circuits.
+"""Dense statevector simulation of small parameterized circuits: the
+reference oracle for the batched model kernel in `qnn`, and the circuit
+whose size and depth the report gives. The gate set is the model's, RY and
+CNOT.
 
 Conventions (fixed so that tests can be bit-exact):
 - qubit 0 is the least significant bit of the amplitude index, i.e. the
   basis state |q_{n-1} ... q_1 q_0> lives at index sum(q_k * 2**k)
-- RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]] and the other rotations
-  use the same half-angle convention
+- RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]
 - gate application is pure: a new amplitude array is returned every time
 
 All gate kernels accept an array of shape (..., 2**n) so a batch of states
@@ -18,10 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-GATE_KINDS = ("RX", "RY", "RZ", "X", "H", "CNOT")
-ROTATION_KINDS = ("RX", "RY", "RZ")
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+GATE_KINDS = ("RY", "CNOT")
 
 
 @dataclass(frozen=True)
@@ -39,24 +38,8 @@ class Gate:
         return (self.control, self.target)
 
 
-def rx(target: int, angle: float) -> Gate:
-    return Gate("RX", target, angle=angle)
-
-
 def ry(target: int, angle: float) -> Gate:
     return Gate("RY", target, angle=angle)
-
-
-def rz(target: int, angle: float) -> Gate:
-    return Gate("RZ", target, angle=angle)
-
-
-def x(target: int) -> Gate:
-    return Gate("X", target)
-
-
-def h(target: int) -> Gate:
-    return Gate("H", target)
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -124,7 +107,7 @@ def _check_gate(gate: Gate, n_qubits: int) -> None:
             raise ValueError("CNOT control and target must differ")
     elif gate.control is not None:
         raise ValueError(f"{gate.kind} takes no control wire")
-    if gate.kind in ROTATION_KINDS and gate.angle is None:
+    if gate.kind == "RY" and gate.angle is None:
         raise ValueError(f"{gate.kind} needs an angle")
 
 
@@ -180,23 +163,10 @@ def apply_gate_amps(amps: np.ndarray, gate: Gate, angle=None) -> np.ndarray:
     kind = gate.kind
     if kind == "CNOT":
         return apply_cnot(amps, gate.control, gate.target)
-    if kind == "X":
-        return apply_single_qubit(amps, gate.target, 0.0, 1.0, 1.0, 0.0)
-    if kind == "H":
-        return apply_single_qubit(
-            amps, gate.target, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2
-        )
-    t = gate.angle if angle is None else angle
-    half = np.asarray(t) / 2.0
-    c, s = np.cos(half), np.sin(half)
     if kind == "RY":
+        half = np.asarray(gate.angle if angle is None else angle) / 2.0
+        c, s = np.cos(half), np.sin(half)
         return apply_single_qubit(amps, gate.target, c, -s, s, c)
-    if kind == "RX":
-        return apply_single_qubit(amps, gate.target, c, -1j * s, -1j * s, c)
-    if kind == "RZ":
-        return apply_single_qubit(
-            amps, gate.target, np.exp(-1j * half), 0.0, 0.0, np.exp(1j * half)
-        )
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -219,13 +189,6 @@ def run_circuit(circuit: QuantumCircuit, initial: StateVector | None = None) -> 
     for gate in circuit.gates:
         amps = apply_gate_amps(amps, gate)
     return StateVector(circuit.n_qubits, amps)
-
-
-def run_circuit_amps(circuit: QuantumCircuit, amps: np.ndarray) -> np.ndarray:
-    """Batch variant of run_circuit on a (..., 2**n) amplitude array."""
-    for gate in circuit.gates:
-        amps = apply_gate_amps(amps, gate)
-    return amps
 
 
 def expectation_z(state: StateVector, qubit: int) -> float:

@@ -1,25 +1,28 @@
-import logging
+import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qmlrobust.data import FeatureMatrix
+from qmlrobust.data import FeatureMatrix, subset
 from qmlrobust.experiment import (
     ExperimentConfig,
     emit_report,
-    epsilon_drift_probe,
     load_report_json,
     read_reduced_csv,
     report_from_dict,
     report_to_dict,
-    run_experiment,
     run_pipeline,
     save_report_json,
     split_name_column,
     stage_seed,
     write_reduced_csv,
 )
-from qmlrobust.metrics import scalar_metrics
+from qmlrobust.metrics import confusion, scalar_metrics
+from qmlrobust.mlp import MlpModel, _pack, init_mlp, mlp_scores, train_mlp
+from qmlrobust.optim import EpochRecord, epoch_record
+from qmlrobust.perturb import PerturbationConfig, build_adversarial_set
+from qmlrobust.qnn import QnnModel, init_params, qnn_scores, train_qnn
 
 
 def quick_config(csv_path, out_dir, **overrides):
@@ -64,7 +67,7 @@ def test_config_validation_messages():
 def test_unreadable_data_reports_stage(tmp_path):
     cfg = quick_config(tmp_path / "missing.csv", tmp_path / "out")
     with pytest.raises(RuntimeError, match="stage 'load'"):
-        run_experiment(cfg)
+        run_pipeline(cfg)
 
 
 # --- pipeline behavior ----------------------------------------------------------
@@ -72,14 +75,14 @@ def test_unreadable_data_reports_stage(tmp_path):
 
 def test_zero_epsilon_before_equals_after(synth_csv, tmp_path):
     cfg = quick_config(synth_csv, tmp_path / "out", epsilon=0.0, epochs=6)
-    report = run_experiment(cfg)
+    report = run_pipeline(cfg).report
     for model in ("nn", "qnn"):
         assert report.before[model] == report.after[model]
         assert report.confusions[f"{model}_clean"] == report.confusions[f"{model}_perturbed"]
 
 
 def test_report_tables_recomputable_from_confusions(synth_csv, tmp_path):
-    report = run_experiment(quick_config(synth_csv, tmp_path / "out", epochs=6))
+    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=6)).report
     for model in ("nn", "qnn"):
         assert report.before[model] == scalar_metrics(report.confusions[f"{model}_clean"])
         assert report.after[model] == scalar_metrics(report.confusions[f"{model}_perturbed"])
@@ -88,21 +91,41 @@ def test_report_tables_recomputable_from_confusions(synth_csv, tmp_path):
 
 
 def test_histories_one_record_per_epoch(synth_csv, tmp_path):
-    report = run_experiment(quick_config(synth_csv, tmp_path / "out", epochs=7))
+    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=7)).report
     assert len(report.histories["nn"]) == 7
     assert len(report.histories["qnn"]) == 7
 
 
 def test_finetune_mode_adds_histories(synth_csv, tmp_path):
     cfg = quick_config(synth_csv, tmp_path / "out", epochs=5, finetune_mode="finetune")
-    report = run_experiment(cfg)
+    report = run_pipeline(cfg).report
     assert set(report.histories) == {"nn", "qnn", "nn_finetune", "qnn_finetune"}
+
+
+def parameters(model: MlpModel | QnnModel) -> np.ndarray:
+    return model.params if isinstance(model, QnnModel) else _pack(model)
+
+
+def test_finetune_mode_scores_the_finetuned_models(synth_csv, tmp_path):
+    cfg = quick_config(synth_csv, tmp_path / "out", epochs=5, finetune_mode="finetune")
+    art = run_pipeline(cfg)
+    plain = run_pipeline(replace(cfg, finetune_mode="evaluate-only"))
+    noise = PerturbationConfig(
+        epsilon=cfg.epsilon, seed=stage_seed(cfg.seed, "noise"), fraction=cfg.perturb_fraction
+    )
+    adv, _ = build_adversarial_set(subset(art.reduced, art.splits.test_idx), noise)
+    for m, scores in (("nn", mlp_scores), ("qnn", qnn_scores)):
+        cm = confusion(adv.labels, scores(art.models[m], adv.values))
+        assert art.report.after[m] == scalar_metrics(cm)
+        # the clean evaluation comes before finetuning
+        assert art.report.before[m] == plain.report.before[m]
+        assert not np.array_equal(parameters(art.models[m]), parameters(plain.models[m]))
 
 
 def test_same_config_same_report(synth_csv, tmp_path):
     cfg = quick_config(synth_csv, tmp_path / "out", epochs=6)
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
+    a = run_pipeline(cfg).report
+    b = run_pipeline(cfg).report
     assert report_to_dict(a) == report_to_dict(b)
 
 
@@ -110,7 +133,7 @@ def test_same_config_same_report(synth_csv, tmp_path):
 
 
 def test_emit_writes_thirteen_files_plus_echo(synth_csv, tmp_path):
-    report = run_experiment(quick_config(synth_csv, tmp_path / "out", epochs=5))
+    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5)).report
     target = tmp_path / "render"
     written = emit_report(report, target)
     names = sorted(p.name for p in written)
@@ -124,7 +147,7 @@ def test_emit_writes_thirteen_files_plus_echo(synth_csv, tmp_path):
 
 
 def test_report_text_carries_two_decimal_rows(synth_csv, tmp_path):
-    report = run_experiment(quick_config(synth_csv, tmp_path / "out", epochs=5))
+    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5)).report
     target = tmp_path / "render"
     emit_report(report, target)
     text = (target / "report.txt").read_text()
@@ -138,7 +161,7 @@ def test_report_text_carries_two_decimal_rows(synth_csv, tmp_path):
 def test_curve_csvs_round_trip(synth_csv, tmp_path):
     from qmlrobust.metrics import read_curve_csv
 
-    report = run_experiment(quick_config(synth_csv, tmp_path / "out", epochs=5))
+    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5)).report
     target = tmp_path / "render"
     emit_report(report, target)
     for key, curve in report.curves.items():
@@ -150,7 +173,7 @@ def test_config_echo_round_trips_as_config_file(synth_csv, tmp_path):
     from qmlrobust.cli import read_config_file
 
     cfg = quick_config(synth_csv, tmp_path / "out", epochs=5)
-    report = run_experiment(cfg)
+    report = run_pipeline(cfg).report
     target = tmp_path / "render"
     emit_report(report, target)
     parsed = read_config_file(target / "config.echo")
@@ -160,7 +183,7 @@ def test_config_echo_round_trips_as_config_file(synth_csv, tmp_path):
 
 
 def test_report_json_round_trip(synth_csv, tmp_path):
-    report = run_experiment(quick_config(synth_csv, tmp_path / "out", epochs=5))
+    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5)).report
     path = tmp_path / "report.json"
     save_report_json(report, path)
     again = load_report_json(path)
@@ -169,9 +192,9 @@ def test_report_json_round_trip(synth_csv, tmp_path):
 
 def test_determinism_byte_identical_directories(synth_csv, tmp_path):
     cfg = quick_config(synth_csv, tmp_path / "out", epochs=6)
-    emit_report(run_experiment(cfg), tmp_path / "out")
+    emit_report(run_pipeline(cfg).report, tmp_path / "out")
     first = read_dir_bytes(tmp_path / "out")
-    emit_report(run_experiment(cfg), tmp_path / "out")
+    emit_report(run_pipeline(cfg).report, tmp_path / "out")
     second = read_dir_bytes(tmp_path / "out")
     assert first == second
 
@@ -225,19 +248,34 @@ def test_split_name_column_covers_everything(synth_csv, tmp_path):
     assert np.sum(names == "train") == len(art.splits.train_idx)
 
 
-# --- soft diagnostics ------------------------------------------------------------------
+# --- the two heads ----------------------------------------------------------------------
 
 
-def test_epsilon_drift_probe_logs_and_returns(synth_csv, tmp_path, caplog):
-    cfg = quick_config(synth_csv, tmp_path / "out", epochs=5)
-    with caplog.at_level(logging.INFO, logger="qmlrobust.experiment"):
-        drift = epsilon_drift_probe(cfg, epsilons=(0.0, 0.05, 0.1, 0.2))
-    assert set(drift) == {"nn", "qnn"}
-    for values in drift.values():
-        assert len(values) == 4
-        assert values[0] == 0.0
-    assert any("score drift" in message for message in caplog.messages)
-    # soft monotonicity: log it, never assert it
-    for model, values in drift.items():
-        if not all(a <= b + 1e-12 for a, b in zip(values, values[1:])):
-            logging.getLogger(__name__).warning("drift not monotone for %s: %s", model, values)
+def initialized(head):
+    """(initialized model, trainer, scorer) of one head at width 3."""
+    if head == "nn":
+        return init_mlp([3, 4, 1], seed=1), train_mlp, mlp_scores
+    qnn = QnnModel(n_qubits=3, n_layers=2)
+    return replace(qnn, params=init_params(qnn, seed=1)), train_qnn, qnn_scores
+
+
+@pytest.mark.parametrize("head", ["nn", "qnn"])
+def test_one_epoch_steps_by_the_learning_rate_and_keeps_the_callers_model(head):
+    model, train_fn, score_fn = initialized(head)
+    before = copy.deepcopy(model)
+    rng = np.random.default_rng(2)
+    train = FeatureMatrix(values=rng.uniform(0, 1, (12, 3)), labels=rng.choice([-1, 1], 12))
+    val = FeatureMatrix(values=rng.uniform(0, 1, (5, 3)), labels=rng.choice([-1, 1], 5))
+    trained, history = train_fn(model, train, val, 1, learning_rate=0.05)
+    np.testing.assert_array_equal(parameters(model), parameters(before))
+    # Adam's first step moves each parameter by about the learning rate, at most
+    step = np.abs(parameters(trained) - parameters(model))
+    assert 0.049 < step.max() <= 0.05
+    scores = (score_fn(trained, train.values), score_fn(trained, val.values))
+    assert history == [epoch_record(train, scores[0], val, scores[1])]
+
+
+def test_epoch_record_counts_a_zero_score_as_positive():
+    data = FeatureMatrix(values=np.zeros((2, 1)), labels=np.array([1, -1]))
+    record = epoch_record(data, np.zeros(2), data, np.array([0.0, -0.5]))
+    assert record == EpochRecord(train_loss=1.0, val_loss=0.75, val_accuracy=1.0)

@@ -10,7 +10,6 @@ from qmlrobust.mlp import (
     _unpack,
     init_mlp,
     load_mlp,
-    mlp_forward,
     mlp_gradients,
     mlp_scores,
     save_mlp,
@@ -58,25 +57,25 @@ def clean_instance(rng, widths=(4, 6, 3, 1), batch=8):
 
 def test_zero_network_scores_zero():
     model = zero_model([3, 4, 1])
-    assert mlp_forward(model, [0.3, 0.9, -2.0]) == 0.0
+    assert mlp_scores(model, [[0.3, 0.9, -2.0]])[0] == 0.0
 
 
 def test_single_weight_closed_form():
     model = MlpModel([1, 1], [np.array([[10.0]])], [np.zeros(1)])
-    assert abs(mlp_forward(model, [1.0]) - np.tanh(10.0)) < 1e-15
+    assert abs(mlp_scores(model, [[1.0]])[0] - np.tanh(10.0)) < 1e-15
 
 
 def test_scores_strictly_inside_unit_interval():
     rng = np.random.default_rng(0)
     model = init_mlp([5, 8, 1], seed=1)
-    for _ in range(50):
-        score = mlp_forward(model, rng.uniform(-3, 3, size=5))
-        assert -1.0 < score < 1.0
+    scores = mlp_scores(model, rng.uniform(-3, 3, size=(50, 5)))
+    assert np.all((-1.0 < scores) & (scores < 1.0))
 
 
 def test_forward_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mlp_forward(zero_model([3, 1]), [0.1, 0.2])
+    for X in ([[0.1, 0.2]], [0.1, 0.2, 0.3]):  # too narrow; one-dimensional
+        with pytest.raises(ValueError):
+            mlp_scores(zero_model([3, 1]), X)
 
 
 def test_shape_validation():
@@ -147,7 +146,7 @@ def test_empty_batch_rejected():
 def test_zero_epochs_rejected():
     data = FeatureMatrix(values=np.zeros((2, 2)), labels=np.array([1, -1]))
     with pytest.raises(ValueError):
-        train_mlp(None, data, data, epochs=0, layer_sizes=[2, 4, 1])
+        train_mlp(init_mlp([2, 4, 1], seed=0), data, data, epochs=0)
 
 
 def test_learns_separable_two_feature_data():
@@ -159,7 +158,7 @@ def test_learns_separable_two_feature_data():
     )
     train = FeatureMatrix(values[:140], labels[:140])
     val = FeatureMatrix(values[140:], labels[140:])
-    _, history = train_mlp(None, train, val, epochs=100, seed=4, layer_sizes=[2, 32, 16, 1])
+    _, history = train_mlp(init_mlp([2, 32, 16, 1], seed=4), train, val, epochs=100)
     assert history[-1].val_accuracy >= 0.95
 
 
@@ -168,8 +167,8 @@ def test_identical_seeds_identical_weights():
     values = rng.uniform(0, 1, size=(40, 3))
     labels = np.where(rng.uniform(size=40) < 0.5, -1, 1)
     data = FeatureMatrix(values=values, labels=labels)
-    m1, h1 = train_mlp(None, data, data, epochs=8, seed=13, layer_sizes=[3, 8, 1])
-    m2, h2 = train_mlp(None, data, data, epochs=8, seed=13, layer_sizes=[3, 8, 1])
+    m1, h1 = train_mlp(init_mlp([3, 8, 1], seed=13), data, data, epochs=8)
+    m2, h2 = train_mlp(init_mlp([3, 8, 1], seed=13), data, data, epochs=8)
     for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
         np.testing.assert_array_equal(a, b)
     assert h1 == h2

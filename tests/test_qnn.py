@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 import qmlrobust
 from qmlrobust.data import FeatureMatrix
-from qmlrobust.optim import AdamState, adam_step, hinge_loss, mean_hinge_loss
+from qmlrobust.optim import EPS_STABILIZER, AdamState, adam_step, mean_hinge_loss
 from qmlrobust.qnn import (
     QnnModel,
     _rotate,
     build_model_circuit,
+    init_params,
     load_qnn,
     parameter_shift_grad,
-    qnn_forward,
     qnn_score_grad,
     qnn_scores,
     save_qnn,
@@ -90,8 +90,9 @@ def test_dimension_mismatch_rejected():
     model = model_with(3, 1)
     with pytest.raises(ValueError):
         build_model_circuit(model, [0.1, 0.2])
-    with pytest.raises(ValueError):
-        qnn_forward(model, [0.1, 0.2])
+    for X in ([[0.1, 0.2]], [0.1, 0.2, 0.3]):  # too narrow; one-dimensional
+        with pytest.raises(ValueError):
+            qnn_scores(model, X)
 
 
 # --- forward -----------------------------------------------------------------
@@ -99,13 +100,13 @@ def test_dimension_mismatch_rejected():
 
 def test_forward_trivial_state():
     model = model_with(3, 2, params=np.zeros(6))
-    assert qnn_forward(model, np.zeros(3)) == 1.0
+    assert qnn_scores(model, np.zeros((1, 3)))[0] == 1.0
 
 
 def test_forward_single_qubit_is_cosine():
     theta = 0.9
     model = model_with(1, 1, params=[theta])
-    assert abs(qnn_forward(model, [0.0]) - math.cos(theta)) < 1e-12
+    assert abs(qnn_scores(model, [[0.0]])[0] - math.cos(theta)) < 1e-12
 
 
 def test_forward_scores_bounded():
@@ -114,7 +115,7 @@ def test_forward_scores_bounded():
         n = int(rng.integers(1, 5))
         layers = int(rng.integers(1, 4))
         model = model_with(n, layers, params=rng.uniform(-6, 6, size=n * layers))
-        score = qnn_forward(model, rng.uniform(0, 1, size=n))
+        score = qnn_scores(model, rng.uniform(0, 1, size=(1, n)))[0]
         assert -1.0 <= score <= 1.0
 
 
@@ -123,7 +124,7 @@ def test_batch_scores_match_single_forward():
     model = model_with(4, 2, seed=8)
     X = rng.uniform(0, 1, size=(9, 4))
     batch = qnn_scores(model, X)
-    singles = np.array([qnn_forward(model, x) for x in X])
+    singles = np.array([qnn_scores(model, x[None, :])[0] for x in X])
     np.testing.assert_array_equal(batch, singles)
 
 
@@ -141,11 +142,11 @@ def test_scores_do_not_depend_on_row_blocks():
 def test_two_pi_shift_invariance(seed, j):
     rng = np.random.default_rng(seed)
     model = model_with(4, 2, params=rng.uniform(-np.pi, np.pi, 8))
-    x = rng.uniform(0, 1, size=4)
-    base = qnn_forward(model, x)
+    x = rng.uniform(0, 1, size=(1, 4))
+    base = qnn_scores(model, x)[0]
     shifted = model.params.copy()
     shifted[j] += 2 * np.pi
-    assert abs(qnn_forward(model_with(4, 2, params=shifted), x) - base) < 1e-12
+    assert abs(qnn_scores(model_with(4, 2, params=shifted), x)[0] - base) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -164,20 +165,23 @@ def test_rotate_matches_per_qubit_butterfly(n):
 
 
 def test_hinge_values():
-    assert hinge_loss(+1, 1.0) == 0.0
-    assert hinge_loss(+1, 0.0) == 1.0
-    assert hinge_loss(-1, 0.5) == 1.5
+    assert mean_hinge_loss([+1], [1.0]) == 0.0
+    assert mean_hinge_loss([+1], [0.0]) == 1.0
+    assert mean_hinge_loss([-1], [0.5]) == 1.5
+    assert mean_hinge_loss([+1, -1, -1], [0.0, 0.5, -2.0]) == 2.5 / 3
 
 
 def test_hinge_invalid_label():
     with pytest.raises(ValueError):
-        hinge_loss(0, 0.5)
+        mean_hinge_loss([0], [0.5])
+    with pytest.raises(ValueError):
+        mean_hinge_loss([1, 2], [0.5, 0.5])
 
 
 @settings(max_examples=50, deadline=None)
 @given(y=st.sampled_from([-1, 1]), score=st.floats(-5, 5, allow_nan=False))
 def test_hinge_floor(y, score):
-    value = hinge_loss(y, score)
+    value = mean_hinge_loss([y], [score])
     assert value >= 0.0
     assert (value == 0.0) == (y * score >= 1.0)
 
@@ -252,7 +256,8 @@ def test_scores_match_gate_list_simulator(problem):
         [expectation_z(run_circuit(build_model_circuit(model, x)), model.readout_qubit) for x in X]
     )
     assert np.max(np.abs(qnn_scores(model, X) - slow)) <= 1e-12
-    assert np.max(np.abs([qnn_forward(model, x) for x in X] - slow)) <= 1e-12
+    # a batch of one row is its own row block
+    assert np.max(np.abs([qnn_scores(model, x[None, :])[0] for x in X] - slow)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,7 +369,7 @@ def test_adam_first_step_is_signed_learning_rate():
     grads = np.array([0.5, -2.0, 1e-3])
     _, updated = adam_step(state, params, grads)
     # first step: m_hat = g, v_hat = g^2 -> update = -lr * g/(|g| + eps)
-    expected = -0.01 * grads / (np.abs(grads) + state.eps_stabilizer)
+    expected = -0.01 * grads / (np.abs(grads) + EPS_STABILIZER)
     np.testing.assert_allclose(updated, expected, rtol=1e-12)
     np.testing.assert_allclose(updated, -0.01 * np.sign(grads), rtol=1e-4)
 
@@ -403,6 +408,12 @@ def test_empty_train_set_rejected():
         train_qnn(model_with(1, 1, params=[1.0]), empty, one_point_set(), epochs=1)
 
 
+def test_parameterless_model_rejected():
+    data = one_point_set()
+    with pytest.raises(ValueError, match="model has no parameters"):
+        train_qnn(QnnModel(1, 1), data, data, epochs=1)
+
+
 def test_loss_decreases_from_quarter_turn():
     # loss(theta) = 1 - cos(theta) pulls theta from pi/2 toward 0
     data = one_point_set()
@@ -423,7 +434,8 @@ def test_learns_separable_two_feature_data():
     train = FeatureMatrix(values[:140], labels[:140])
     val = FeatureMatrix(values[140:], labels[140:])
     model = QnnModel(n_qubits=2, n_layers=2)
-    trained, history = train_qnn(model, train, val, epochs=100, seed=11)
+    model = replace(model, params=init_params(model, seed=11))
+    trained, history = train_qnn(model, train, val, epochs=100)
     assert history[-1].val_accuracy >= 0.9
 
 
@@ -432,8 +444,9 @@ def test_training_deterministic_given_seed():
     values = rng.uniform(0, 1, size=(30, 2))
     labels = np.where(rng.uniform(size=30) < 0.5, -1, 1)
     data = FeatureMatrix(values=values, labels=labels)
-    m1, h1 = train_qnn(QnnModel(2, 2), data, data, epochs=5, seed=42)
-    m2, h2 = train_qnn(QnnModel(2, 2), data, data, epochs=5, seed=42)
+    model = QnnModel(2, 2)
+    m1, h1 = train_qnn(replace(model, params=init_params(model, seed=42)), data, data, epochs=5)
+    m2, h2 = train_qnn(replace(model, params=init_params(model, seed=42)), data, data, epochs=5)
     np.testing.assert_array_equal(m1.params, m2.params)
     assert h1 == h2
 

@@ -15,11 +15,8 @@ from qmlrobust.simulator import (
     cnot,
     encode_features,
     expectation_z,
-    h,
     run_circuit,
-    rx,
     ry,
-    rz,
 )
 
 # --- independent dense-matrix oracle -------------------------------------
@@ -31,20 +28,9 @@ _I2 = np.eye(2, dtype=complex)
 
 
 def _single_qubit_unitary(gate: Gate) -> np.ndarray:
-    t = gate.angle
-    if gate.kind == "X":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if gate.kind == "H":
-        return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    if gate.kind == "RY":
-        c, s = math.cos(t / 2), math.sin(t / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if gate.kind == "RX":
-        c, s = math.cos(t / 2), math.sin(t / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if gate.kind == "RZ":
-        return np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]], dtype=complex)
-    raise AssertionError(gate.kind)
+    assert gate.kind == "RY", gate.kind
+    c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def dense_gate_matrix(gate: Gate, n: int) -> np.ndarray:
@@ -73,14 +59,11 @@ def dense_run(circuit: QuantumCircuit, amps: np.ndarray) -> np.ndarray:
 def random_circuit(rng: np.random.Generator, n: int, n_gates: int) -> QuantumCircuit:
     gates = []
     for _ in range(n_gates):
-        kind = rng.choice(["RX", "RY", "RZ", "X", "H", "CNOT"])
-        if kind == "CNOT" and n >= 2:
+        if rng.uniform() < 0.4 and n >= 2:
             control, target = rng.choice(n, size=2, replace=False)
             gates.append(cnot(int(control), int(target)))
-        elif kind in ("RX", "RY", "RZ"):
-            gates.append(Gate(kind, int(rng.integers(n)), angle=float(rng.uniform(-2 * np.pi, 2 * np.pi))))
         else:
-            gates.append(Gate(kind if kind != "CNOT" else "X", int(rng.integers(n))))
+            gates.append(ry(int(rng.integers(n)), float(rng.uniform(-2 * np.pi, 2 * np.pi))))
     return QuantumCircuit(n, gates)
 
 
@@ -106,9 +89,15 @@ def test_cnot_truth_table():
     np.testing.assert_array_equal(out.amplitudes, [0, 0, 1, 0])
 
 
-def test_hadamard_on_zero():
-    out = apply_gate(StateVector.zero(1), h(0))
+def test_ry_half_turn_on_zero_is_plus():
+    out = apply_gate(StateVector.zero(1), ry(0, math.pi / 2))
     np.testing.assert_allclose(out.amplitudes, [1 / math.sqrt(2)] * 2, rtol=1e-15)
+
+
+def test_gate_outside_the_model_set_rejected():
+    for gate in (Gate("H", 0), Gate("RX", 0, angle=0.5)):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            apply_gate(StateVector.zero(1), gate)
 
 
 def test_gate_index_out_of_range():
@@ -128,14 +117,14 @@ def test_empty_circuit_is_identity():
 
 
 def test_bell_construction():
-    out = run_circuit(QuantumCircuit(2, [h(0), cnot(0, 1)]))
+    out = run_circuit(QuantumCircuit(2, [ry(0, math.pi / 2), cnot(0, 1)]))
     expected = np.array([1, 0, 0, 1]) / math.sqrt(2)
     np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
 
 
 def test_circuit_state_width_mismatch():
     with pytest.raises(ValueError):
-        run_circuit(QuantumCircuit(2, [h(0)]), initial=StateVector.zero(3))
+        run_circuit(QuantumCircuit(2, [ry(0, 0.1)]), initial=StateVector.zero(3))
 
 
 def test_random_circuits_preserve_norm():
@@ -169,7 +158,7 @@ def test_composition_is_exact():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["RX", "RY", "RZ", "X", "H"]),
+    kind=st.sampled_from(["RY", "CNOT"]),
     angle=st.floats(-10, 10, allow_nan=False),
     seed=st.integers(0, 2**20),
 )
@@ -177,7 +166,11 @@ def test_unitarity_random_gate_random_state(kind, angle, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
     state = random_state(rng, n)
-    gate = Gate(kind, int(rng.integers(n)), angle=angle if kind.startswith("R") else None)
+    if kind == "RY" or n == 1:
+        gate = ry(int(rng.integers(n)), angle)
+    else:
+        control, target = rng.choice(n, size=2, replace=False)
+        gate = cnot(int(control), int(target))
     out = apply_gate(state, gate)
     assert abs(out.norm() - 1.0) < 1e-12
 
@@ -191,7 +184,7 @@ def test_expectation_z_eigenstates():
 
 
 def test_expectation_z_superposition():
-    plus = apply_gate(StateVector.zero(1), h(0))
+    plus = apply_gate(StateVector.zero(1), ry(0, math.pi / 2))
     assert abs(expectation_z(plus, 0)) < 1e-12
 
 
