@@ -412,10 +412,35 @@ def report_from_dict(payload: dict) -> Report:
     )
 
 
+# a curve's points sit four levels deep in report.json: "curves" -> key ->
+# "points" -> [x, y], so with indent=2 a pair opens at 8 spaces
+_POINT_JSON = "        [\n          {!r},\n          {!r}\n        ]"
+
+
 def save_report_json(report: Report, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """report_to_dict as json.dumps(indent=2, sort_keys=True) writes it, byte for byte.
+
+    json.dumps with an indent runs its pure-Python encoder, slow on the
+    curves' tens of thousands of points. Each finite points array is
+    replaced by a placeholder string, the rest is dumped, and the points
+    are formatted column-wise (repr, as json writes a finite float) and
+    spliced in. The curves come after every other string in sorted key
+    order, so the last occurrence of a placeholder is the one to replace.
+    """
+    payload = report_to_dict(report)
+    blocks = {}
+    for i, (key, curve) in enumerate(sorted(report.curves.items())):
+        if len(curve.points) and np.isfinite(curve.points).all():
+            token = f"\x00points {i}\x00"
+            payload["curves"][key]["points"] = token
+            x, y = curve.points.T.tolist()
+            pairs = ",\n".join(map(_POINT_JSON.format, x, y))
+            blocks[json.dumps(token)] = "[\n" + pairs + "\n      ]"
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    for token, block in blocks.items():
+        head, _, tail = text.rpartition(token)
+        text = head + block + tail
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_report_json(path: str | Path) -> Report:

@@ -6,25 +6,58 @@ class is its sign (ties go to +1). Training is full-batch Adam from
 parameters drawn by `init_params`; `train_qnn` has the call shape of
 `mlp.train_mlp`.
 
-Every gate of the model is real, so scoring and training run on float64
-amplitudes in row blocks of about 1 MiB (`_forward`). The encoding
-RY(pi*x) and the layer-0 RY(theta) fuse into one rotation, so the state
-after layer 0 is a product state; every later RY layer is applied as one
-16 x 16 Kronecker gate per group of four qubits, each a batched matmul
-(`_rotate`); each CNOT chain 0->1->...->n-1 is one index permutation; the
-last chain folds into the readout as a +-1 sign vector. The training
-gradient (`parameter_shift_grad`, named for the rule it replaced) is
-computed by adjoint differentiation (Jones & Gacon, arXiv:2009.02823): one
-forward pass and one backward sweep over the rows inside the hinge margin
-give all layers x qubits derivatives. Per layer and group of four qubits,
-one contraction gives the 16 x 16 cross-Gram matrix of the adjoint and the
-state, from which every qubit's derivative is a sum of its entries
+Every gate of the model is real, so both kernels work in float64, and the
+same three facts shape them. The encoding RY(pi*x) and the layer-0
+RY(theta) fuse into one rotation, so the state after layer 0 is a product
+state. The CNOT chain 0->1->...->n-1 sends basis state b to its prefix
+parities c_j = b_0 ^ ... ^ b_j, a classical map with a one-bit carry. The
+last chain folds into the readout: Z_r after it is Z_0 Z_1 ... Z_r before
+it.
+
+**Matrix product state (`_Mps`).** Qubit q is one tensor of shape
+(left bond, 2, right bond, rows), rows last, and the tensors of all qubits
+are one array. A chain is applied site by site as an index copy,
+new[(l, p), c, (r, c)] = old[l, c ^ p, r], with the incoming carry p on
+the left bond and the outgoing carry c on the right one; RY then mixes the
+physical index. Each chain doubles the bonds, so the state before the last
+chain is an exact MPS of bond 2**(layers - 1) (Vidal, quant-ph/0301063),
+and a score is one left-to-right transfer contraction with (1, -1) on the
+physical index of qubits up to the readout. Because the chain acts site by
+site, a site's final tensor depends only on its own feature and its own
+angles. One sweep of right environments and the left sweep of the score
+give d score / d tensor for every site; stepping those back through the
+layers (the adjoint of RY, then of the index copy) gives every angle's
+derivative: the adjoint method of Jones & Gacon (arXiv:2009.02823) on
+tensors, about three score passes. Every product and sum runs elementwise
+over the rows, with no BLAS call, because numpy pays one BLAS call per
+tiny 2 x 2 or 4 x 4 matrix.
+
+**Statevector (`_Statevector`).** Float64 amplitudes, 2**n per row. Layer
+0 is the product state, each later RY layer is one 16 x 16 Kronecker gate
+per group of four qubits applied as a batched matmul (`_rotate`), each
+chain is one index permutation, and the last chain is a +-1 sign vector.
+The gradient is the same adjoint sweep on amplitudes: per layer and group
+of four qubits, one contraction gives the cross-Gram matrix of the adjoint
+and the state, from which each qubit's derivative is a sum of entries
 (`_layer_grad`).
+
+**Which kernel runs** depends on the model's shape alone
+(`_kernel_class`): the MPS costs about n * 8**(layers - 1) per row, the
+statevector layers * 2**n, and the smaller estimate wins. Timed on a
+2-core host (scores plus gradient of 200 rows, n in {4, 8, 12, 16}, 1-6
+layers), the rule picked the faster kernel in 23 of the 24 cells; the miss
+is n=4 with 2 layers, where the estimates tie, at 0.53 ms for the MPS and
+0.56 ms for the statevector. The statevector stays because the bond grows
+without a cap: at n=8 with 6 layers the MPS took 4.1 s against 12 ms.
+Either kernel runs in row blocks of about 1 MiB of its own arrays, so a
+wide model (say 32 qubits, 6 layers on the MPS) stays in bounded memory,
+and a row scores bit-identically in any block.
 
 The reference oracle is `qnn_score_grad`: the per-sample two-point
 parameter shift on the complex gate-kernel path of `simulator`
-(`_variational_amps`). Tests pit the fast path against it, against
-`run_circuit(build_model_circuit(...))` and against finite differences.
+(`_variational_amps`). Tests pit both kernels against it, against
+`run_circuit(build_model_circuit(...))`, against each other and against
+finite differences.
 """
 from __future__ import annotations
 
@@ -49,8 +82,8 @@ from .simulator import (
 
 SHIFT = math.pi / 2  # exact-gradient shift for RY parameters
 
-# state bytes per row block: small enough to stay in L2 while a block is
-# pushed through every layer
+# kernel bytes per row block (`row_bytes` of each kernel): small enough to
+# stay in L2 while a block is pushed through every layer
 _BLOCK_BYTES = 2**20
 
 # qubits per Kronecker gate in an RY layer: a 16 x 16 matmul per group
@@ -104,10 +137,6 @@ def build_model_circuit(model: QnnModel, x) -> QuantumCircuit:
         for q in range(model.n_qubits - 1):
             circuit.gates.append(cnot(q, q + 1))
     return circuit
-
-
-def _block_rows(n_qubits: int) -> int:
-    return max(1, _BLOCK_BYTES // (8 * 2**n_qubits))
 
 
 def _chain_maps(n_qubits: int, readout: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,6 +260,221 @@ def _layer_grad(psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Statevector:
+    """Float64 amplitudes of a row block; one scratch array serves every block."""
+
+    @staticmethod
+    def row_bytes(n_qubits: int, n_layers: int) -> int:
+        return 8 * 2**n_qubits
+
+    def __init__(self, theta: np.ndarray, readout: int, rows: int):
+        self.theta = theta
+        self.gather, self.scatter, self.sign = _chain_maps(theta.shape[1], readout)
+        self.scratch = np.empty((rows, self.sign.size))
+
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        """Scores of a row block: a view into the scratch array, valid until the next call."""
+        psi, _ = _forward(self.theta, X, self.gather, self.scratch[: len(X)])
+        psi *= psi
+        psi *= self.sign
+        # halving sums: a fixed order per row, so a row scores the same in any block
+        width = psi.shape[1]
+        while width > 1:
+            width //= 2
+            psi[:, :width] += psi[:, width : 2 * width]
+        return psi[:, 0]
+
+    def grad(self, X: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """sum over rows of weight * d score / d theta, shape (layers, qubits).
+
+        lam = weight * sign * psi is the adjoint of the final state; walking
+        back one layer at a time, every qubit's derivative in that layer is
+        <lam|J_q psi>, then RY(-theta) and the inverse chain step both back.
+        """
+        theta = self.theta
+        grad = np.empty_like(theta)
+        psi, free = _forward(theta, X, self.gather, self.scratch[: len(X)])
+        lam = psi * self.sign
+        lam *= weight[:, None]
+        for layer in range(len(theta) - 1, -1, -1):
+            grad[layer] = _layer_grad(psi, lam)
+            if layer:
+                psi, free = _step_back(psi, theta[layer], self.scatter, free)
+                lam, free = _step_back(lam, theta[layer], self.scatter, free)
+        return grad
+
+
+def _ry(angles: np.ndarray) -> np.ndarray:
+    """RY(angles[q]) for every q, shape (qubits, 2, 2)."""
+    c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
+    return np.moveaxis(np.array([[c, -s], [s, c]]), -1, 0)
+
+
+def _mps_layers(theta: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
+    """Site tensors of a row block after each layer, before that layer's chain.
+
+    layers[l] has shape (qubits, bond, 2, bond, rows) with bond 2**l: qubit
+    q's tensor after layer l. The chain writes c_j = b_j ^ c_(j-1), so site
+    j reads its old bit as c ^ p, with the incoming carry p joining its left
+    bond and the outgoing carry c its right one:
+    new[(l, p), c, (r, c)] = old[l, c ^ p, r], and after RY,
+    new[(l, p), a, (r, c)] = ry[a, c] * old[l, c ^ p, r]. Every site gets
+    both carries, so all sites share one shape and each step is a few
+    elementwise products over all of them; the edge environments
+    (`_left_edge`, and ones on the right) keep only p = 0 at site 0 and sum
+    the last site's outgoing carry away.
+    """
+    n_qubits, rows = X.shape[1], X.shape[0]
+    # transposed before cos and sin: each then runs over one qubit's rows at unit stride
+    half = ((math.pi * X + theta[0]) / 2.0).T.copy()
+    sites = np.empty((n_qubits, 1, 2, 1, rows))
+    np.cos(half, out=sites[:, 0, 0, 0])
+    np.sin(half, out=sites[:, 0, 1, 0])
+    layers = [sites]
+    for angles in theta[1:]:
+        ry = _ry(angles)
+        bond = sites.shape[1]
+        out = np.empty((n_qubits, bond, 2, 2, bond, 2, rows))
+        for p in range(2):
+            for c in range(2):
+                slot = out[:, :, p, :, :, c]
+                np.multiply(ry[:, None, :, c, None, None], sites[:, :, c ^ p, None], out=slot)
+        sites = out.reshape(n_qubits, 2 * bond, 2, 2 * bond, rows)
+        layers.append(sites)
+    return layers
+
+
+def _chain_ry_adjoint(grad: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """d/d old from d/d new of one `_mps_layers` step: RY transposed, the copy summed back."""
+    ry = _ry(angles)
+    n_qubits, bond, _, _, rows = grad.shape
+    bond //= 2
+    grad = grad.reshape(n_qubits, bond, 2, 2, bond, 2, rows)
+    out = np.zeros((n_qubits, bond, 2, bond, rows))
+    for p in range(2):
+        for c in range(2):
+            out[:, :, c ^ p] += (
+                ry[:, 0, c, None, None, None] * grad[:, :, p, 0, :, c]
+                + ry[:, 1, c, None, None, None] * grad[:, :, p, 1, :, c]
+            )
+    return out
+
+
+def _left_edge(bond: int, rows: int) -> np.ndarray:
+    """Environment left of site 0: only bond index 0 (no incoming carry) is live."""
+    env = np.zeros((bond, bond, rows))
+    env[0, 0] = 1.0
+    return env
+
+
+def _absorb(env: np.ndarray, site: np.ndarray, flip: bool) -> np.ndarray:
+    """half[l', p, r] = sum over l of env[l, l'] s_p site[l, p, r].
+
+    s = (1, -1) if flip (qubits up to the readout), else (1, 1).
+    """
+    half = env[0, :, None, None] * site[0, None]
+    for l in range(1, len(env)):
+        half += env[l, :, None, None] * site[l, None]
+    if flip:
+        half[:, 1] *= -1.0
+    return half
+
+
+def _close(half: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """out[r, r'] = sum over l', p of half[l', p, r] site[l', p, r']."""
+    out = half[0, 0, :, None] * site[0, 0, None]
+    for l in range(len(half)):
+        for p in range(2):
+            if l or p:
+                out += half[l, p, :, None] * site[l, p, None]
+    return out
+
+
+class _Mps:
+    """Exact matrix product state of a row block, bond 2**(layers - 1).
+
+    Every product and sum runs elementwise over the rows in a fixed order
+    (never a numpy reduction over a bond, whose order can change with the
+    row count), so a row gets the same bits in any block.
+    """
+
+    @staticmethod
+    def row_bytes(n_qubits: int, n_layers: int) -> int:
+        # floats per row and site: all layers' tensors ~(2/3) 4**layers; the
+        # gradient's environments and adjoint add about as much again
+        return 8 * n_qubits * 4**n_layers
+
+    def __init__(self, theta: np.ndarray, readout: int, rows: int):
+        self.theta = theta
+        self.readout = readout
+
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        sites = _mps_layers(self.theta, X)[-1]
+        env = _left_edge(sites.shape[1], len(X))
+        for q, site in enumerate(sites):
+            env = _close(_absorb(env, site, q <= self.readout), site)
+        # the right edge is all ones: sum the environment over both bonds
+        terms = env.reshape(-1, len(X))
+        score = terms[0].copy()
+        for term in terms[1:]:
+            score += term
+        return score
+
+    def grad(self, X: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """sum over rows of weight * d score / d theta, shape (layers, qubits).
+
+        score = sum left[l, l'] s_p site[l, p, r] site[l', p, r'] right[r, r']
+        at every site, with symmetric environments, so d score / d site is
+        2 (left s site right). Seeding the right edge with 2 * weight makes
+        it the weighted derivative directly. Each site's final tensor depends
+        only on its own feature and angles, so the derivatives of all sites
+        step back through the layers together.
+        """
+        theta, readout = self.theta, self.readout
+        layers = _mps_layers(theta, X)
+        sites = layers[-1]
+        n_qubits, bond = sites.shape[:2]
+        right = np.empty((n_qubits, bond, bond, len(X)))  # right[q]: right of site q
+        right[-1] = 2.0 * weight
+        for q in range(n_qubits - 1, 0, -1):
+            mirrored = sites[q].transpose(2, 1, 0, 3)  # right bond first
+            right[q - 1] = _close(_absorb(right[q], mirrored, q <= readout), mirrored)
+        half = np.empty_like(sites)
+        env = _left_edge(bond, len(X))
+        for q, site in enumerate(sites):
+            half[q] = _absorb(env, site, q <= readout)
+            env = _close(half[q], site)
+        # d score / d site[q][a, p, b] = sum over r of half[q][a, p, r] right[q][b, r]
+        d_sites = half[:, :, :, 0, None] * right[:, None, None, :, 0]
+        for r in range(1, bond):
+            d_sites += half[:, :, :, r, None] * right[:, None, None, :, r]
+        grad = np.empty_like(theta)
+        for layer in range(len(theta) - 1, -1, -1):
+            # d RY(t)/dt = J RY(t) / 2 with J = [[0, -1], [1, 0]]; the
+            # encoding's fused angle moves with theta[0] the same way
+            a = layers[layer]
+            moved = d_sites[:, :, 1] * a[:, :, 0] - d_sites[:, :, 0] * a[:, :, 1]
+            grad[layer] = 0.5 * moved.reshape(n_qubits, -1).sum(axis=1)
+            if layer:
+                d_sites = _chain_ry_adjoint(d_sites, theta[layer])
+        return grad
+
+
+def _kernel_class(n_qubits: int, n_layers: int) -> type[_Mps] | type[_Statevector]:
+    """The MPS when its cost per row, n * 8**(layers - 1), is below the statevector's."""
+    if n_qubits * 8 ** (n_layers - 1) < n_layers * 2**n_qubits:
+        return _Mps
+    return _Statevector
+
+
+def _kernel(model: QnnModel, n_rows: int) -> tuple[_Mps | _Statevector, int]:
+    """The model's kernel, sized for its row blocks, and the rows per block."""
+    theta = model.params.reshape(model.n_layers, model.n_qubits)
+    kind = _kernel_class(model.n_qubits, model.n_layers)
+    step = max(1, _BLOCK_BYTES // kind.row_bytes(model.n_qubits, model.n_layers))
+    return kind(theta, model.readout_qubit, min(step, n_rows)), step
+
+
 def _variational_amps(
     params: np.ndarray, amps: np.ndarray, n_qubits: int, n_layers: int
 ) -> np.ndarray:
@@ -250,23 +494,10 @@ def qnn_scores(model: QnnModel, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (batch, {model.n_qubits}) features, got {X.shape}")
     if model.params is None:
         raise ValueError("model has no parameters; draw them with init_params")
-    theta = model.params.reshape(model.n_layers, model.n_qubits)
-    gather, _, sign = _chain_maps(model.n_qubits, model.readout_qubit)
+    kernel, step = _kernel(model, X.shape[0])
     out = np.empty(X.shape[0])
-    step = _block_rows(model.n_qubits)
-    scratch = np.empty((min(step, X.shape[0]), sign.size))
     for start in range(0, X.shape[0], step):
-        rows = slice(start, start + step)
-        block = X[rows]
-        psi, _ = _forward(theta, block, gather, scratch[: len(block)])
-        psi *= psi
-        psi *= sign
-        # halving sums: a fixed order per row, so a row scores the same in any block
-        width = psi.shape[1]
-        while width > 1:
-            width //= 2
-            psi[:, :width] += psi[:, width : 2 * width]
-        out[rows] = psi[:, 0]
+        out[start : start + step] = kernel.scores(X[start : start + step])
     return out
 
 
@@ -293,12 +524,11 @@ def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray) -> np.nd
     """Gradient of the mean hinge loss over a batch, computed by adjoint differentiation.
 
     The hinge contributes -y per sample strictly inside the margin and 0
-    otherwise (subgradient 0 exactly at the kink); samples past the margin
-    are skipped. For the rest, one forward pass gives the final state psi and
-    lam = weight * sign * psi; walking back one layer at a time, every qubit's
-    derivative in that layer is <lam|J_q psi>, then RY(-theta) and the inverse
-    chain step both back. The result equals the exact two-point parameter
-    shift (`qnn_score_grad`) weighted by the hinge.
+    otherwise (subgradient 0 exactly at the kink); the weights come from
+    one `qnn_scores` call, and samples past the margin are skipped. The
+    kernel's adjoint sweep gives every layer x qubit derivative of the
+    weighted scores at once. The result equals the exact two-point
+    parameter shift (`qnn_score_grad`) weighted by the hinge.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -307,21 +537,11 @@ def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray) -> np.nd
     scores = qnn_scores(model, X)
     weight = np.where(y * scores < 1.0, -y.astype(float), 0.0) / X.shape[0]
     active = np.nonzero(weight)[0]
-    theta = model.params.reshape(model.n_layers, model.n_qubits)
-    grad = np.zeros_like(theta)
-    gather, scatter, sign = _chain_maps(model.n_qubits, model.readout_qubit)
-    step = _block_rows(model.n_qubits)
-    scratch = np.empty((min(step, active.size), sign.size))
+    kernel, step = _kernel(model, active.size)
+    grad = np.zeros((model.n_layers, model.n_qubits))
     for start in range(0, active.size, step):
         rows = active[start : start + step]
-        psi, free = _forward(theta, X[rows], gather, scratch[: rows.size])
-        lam = psi * sign
-        lam *= weight[rows, None]
-        for layer in range(model.n_layers - 1, -1, -1):
-            grad[layer] += _layer_grad(psi, lam)
-            if layer:
-                psi, free = _step_back(psi, theta[layer], scatter, free)
-                lam, free = _step_back(lam, theta[layer], scatter, free)
+        grad += kernel.grad(X[rows], weight[rows])
     return grad.ravel()
 
 

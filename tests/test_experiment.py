@@ -1,10 +1,11 @@
 import copy
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qmlrobust.data import FeatureMatrix, subset
+from qmlrobust.data import FeatureMatrix, make_separable, subset, write_labeled_csv
 from qmlrobust.experiment import (
     ExperimentConfig,
     emit_report,
@@ -18,7 +19,7 @@ from qmlrobust.experiment import (
     stage_seed,
     write_reduced_csv,
 )
-from qmlrobust.metrics import confusion, scalar_metrics
+from qmlrobust.metrics import Curve, confusion, scalar_metrics
 from qmlrobust.mlp import MlpModel, _pack, init_mlp, mlp_scores, train_mlp
 from qmlrobust.optim import EpochRecord, epoch_record
 from qmlrobust.perturb import PerturbationConfig, build_adversarial_set
@@ -188,6 +189,42 @@ def test_report_json_round_trip(synth_csv, tmp_path):
     save_report_json(report, path)
     again = load_report_json(path)
     assert report_to_dict(again) == report_to_dict(report)
+
+
+@pytest.mark.parametrize("n_points", [0, 1, 2, 5000])
+def test_save_report_json_matches_json_dumps(synth_csv, tmp_path, n_points):
+    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=2)).report
+    rng = np.random.default_rng(n_points)
+    points = rng.uniform(0, 1, size=(n_points, 2))
+    points[: n_points // 2, 0] = 0.0  # integral floats print as "0.0"
+    report.curves = {
+        key: Curve(points=points if i % 2 else points[: n_points // 3], auc=c.auc, kind=c.kind)
+        for i, (key, c) in enumerate(report.curves.items())
+    }
+    # a non-finite point keeps its curve on json's own path ("NaN")
+    report.curves["qnn_clean_pr"] = Curve(np.array([[0.0, np.nan]]), 0.5, "pr")
+    # a config string equal to a placeholder the fast path might use
+    report.config["data_path"] = "\x00points 0\x00"
+    path = tmp_path / "report.json"
+    save_report_json(report, path)
+    expected = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    assert path.read_text(encoding="utf-8") == expected
+
+
+def test_wide_qnn_runs_end_to_end(tmp_path):
+    # 2**32 amplitudes per row would not fit in memory; the MPS holds
+    # 32 small tensors per row
+    path = tmp_path / "wide.csv"
+    write_labeled_csv(make_separable(240, 40, seed=9), path)
+    cfg = quick_config(path, tmp_path / "out", pca_components=32, epochs=1, qnn_layers=2)
+    report = report_to_dict(run_pipeline(cfg).report)
+    assert sorted(report) == sorted(
+        ["config", "circuit", "before", "after", "confusions", "curves", "histories"]
+    )
+    assert sorted(report["before"]) == sorted(report["after"]) == ["nn", "qnn"]
+    assert len(report["confusions"]) == 4 and len(report["curves"]) == 8
+    assert [len(report["histories"][m]) for m in ("nn", "qnn")] == [1, 1]
+    assert report["config"]["pca_components"] == "32"
 
 
 def test_determinism_byte_identical_directories(synth_csv, tmp_path):

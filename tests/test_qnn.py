@@ -15,7 +15,11 @@ from qmlrobust.data import FeatureMatrix
 from qmlrobust.optim import EPS_STABILIZER, AdamState, adam_step, mean_hinge_loss
 from qmlrobust.qnn import (
     QnnModel,
+    _kernel,
+    _kernel_class,
+    _Mps,
     _rotate,
+    _Statevector,
     build_model_circuit,
     init_params,
     load_qnn,
@@ -120,21 +124,28 @@ def test_forward_scores_bounded():
 
 
 def test_batch_scores_match_single_forward():
-    rng = np.random.default_rng(4)
-    model = model_with(4, 2, seed=8)
-    X = rng.uniform(0, 1, size=(9, 4))
-    batch = qnn_scores(model, X)
-    singles = np.array([qnn_scores(model, x[None, :])[0] for x in X])
-    np.testing.assert_array_equal(batch, singles)
+    # (qubits, layers, kernel): 4 x 2 is the statevector's by a tie of the
+    # cost rule; 8 x 3 has bond 4, so its sums run over eight terms
+    for n, layers, kind in ((4, 2, _Statevector), (8, 2, _Mps), (8, 3, _Mps)):
+        assert _kernel_class(n, layers) is kind
+        rng = np.random.default_rng(4)
+        model = model_with(n, layers, seed=8)
+        X = rng.uniform(0, 1, size=(9, n))
+        batch = qnn_scores(model, X)
+        singles = np.array([qnn_scores(model, x[None, :])[0] for x in X])
+        np.testing.assert_array_equal(batch, singles)
 
 
 def test_scores_do_not_depend_on_row_blocks():
-    # at 11 qubits a row block holds 64 rows, so these batches split differently
-    rng = np.random.default_rng(12)
-    model = model_with(11, 2, seed=3)
-    X = rng.uniform(0, 1, size=(150, 11))
-    pieces = np.concatenate([qnn_scores(model, X[a:b]) for a, b in ((0, 1), (1, 77), (77, 150))])
-    np.testing.assert_array_equal(qnn_scores(model, X), pieces)
+    # a row block holds fewer than 150 rows at these shapes, so the batches split differently
+    for n, layers, kind in ((11, 5, _Statevector), (16, 3, _Mps)):
+        rng = np.random.default_rng(12)
+        model = model_with(n, layers, seed=3)
+        X = rng.uniform(0, 1, size=(150, n))
+        kernel, step = _kernel(model, len(X))
+        assert isinstance(kernel, kind) and step < len(X)
+        pieces = [qnn_scores(model, X[a:b]) for a, b in ((0, 1), (1, 77), (77, 150))]
+        np.testing.assert_array_equal(qnn_scores(model, X), np.concatenate(pieces))
 
 
 @settings(max_examples=30, deadline=None)
@@ -232,9 +243,14 @@ def test_gradient_empty_batch_rejected():
 
 @st.composite
 def random_problems(draw):
-    """A model of width 1-8, 1-3 layers and any readout qubit, with a labelled batch."""
+    """A model of width 1-8, 1-4 layers and any readout qubit, with a labelled batch.
+
+    Both kernels run: the MPS with 1 layer, with 2 layers from 5 qubits
+    and with 3 layers at 8; the statevector elsewhere, so at every width
+    here with 4 layers.
+    """
     n = draw(st.integers(1, 8))
-    layers = draw(st.integers(1, 3))
+    layers = draw(st.integers(1, 4))
     readout = draw(st.integers(0, n - 1))
     rows = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -289,8 +305,20 @@ def test_adjoint_gradient_matches_central_differences(problem):
 
 
 # widths past two groups of four qubits: each has a middle group (qubits 4-7)
-# with qubits on both sides, and 9 and 13 end in a partial group
-WIDE_PROBLEMS = [(9, 1, 3), (9, 3, 0), (12, 2, 5), (12, 1, 10), (13, 3, 7), (13, 2, 11)]
+# with qubits on both sides, and 9 and 13 end in a partial group; 9 and 10
+# qubits with 4 layers run on the statevector, the rest on the MPS (13 x 4
+# with bond 8)
+WIDE_PROBLEMS = [
+    (9, 1, 3),
+    (9, 3, 0),
+    (12, 2, 5),
+    (12, 1, 10),
+    (13, 3, 7),
+    (13, 2, 11),
+    (9, 4, 2),
+    (10, 4, 9),
+    (13, 4, 6),
+]
 
 
 def wide_problem(n, layers, readout, rows=3):
@@ -323,9 +351,12 @@ import numpy as np
 from qmlrobust.qnn import QnnModel, parameter_shift_grad, qnn_scores
 
 digest = hashlib.sha256()
-for n, rows in ((2, 20000), (8, 300), (12, 70), (13, 40)):
+# the first four run on the MPS, the last three on the statevector
+for n, layers, rows in (
+    (2, 1, 20000), (8, 2, 300), (12, 2, 70), (13, 2, 40), (2, 2, 20000), (8, 4, 300), (12, 5, 70)
+):
     rng = np.random.default_rng(n)
-    model = QnnModel(n, 2, rng.uniform(0, np.pi, 2 * n), n // 2)
+    model = QnnModel(n, layers, rng.uniform(0, np.pi, layers * n), n // 2)
     X = rng.uniform(0, 1, size=(rows, n))
     y = rng.choice([-1, 1], size=rows)
     digest.update(qnn_scores(model, X).tobytes())
@@ -351,6 +382,57 @@ def test_kernel_bytes_do_not_depend_on_blas_threads():
         digests.append(run.stdout)
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+# --- kernel selection -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, layers, kind",
+    [(8, 2, _Mps), (12, 2, _Mps), (16, 2, _Mps), (2, 1, _Mps)]
+    + [(4, 4, _Statevector), (8, 4, _Statevector), (12, 5, _Statevector), (2, 2, _Statevector)],
+)
+def test_kernel_chosen_by_shape(n, layers, kind):
+    assert _kernel_class(n, layers) is kind
+
+
+# where the kernels run closest (4 x 2, a tie of the rule at 32 vs 32; 8 x 3
+# at 512 vs 768), 6 x 2 and 10 x 3 on the MPS side and 6 x 3 and 3 x 3 on the
+# statevector's, each with the first, a middle and the last readout qubit
+@pytest.mark.parametrize("n, layers", [(4, 2), (8, 3), (6, 2), (6, 3), (3, 3), (10, 3)])
+def test_both_kernels_agree(n, layers):
+    rng = np.random.default_rng([n, layers])
+    theta = rng.uniform(-2 * np.pi, 2 * np.pi, (layers, n))
+    X = rng.uniform(0, 1, size=(40, n))
+    weight = rng.uniform(-1, 1, 40)
+    for readout in sorted({0, n // 2, n - 1}):
+        sv, mps = _Statevector(theta, readout, len(X)), _Mps(theta, readout, len(X))
+        assert np.max(np.abs(sv.scores(X) - mps.scores(X))) <= 1e-13
+        assert np.max(np.abs(sv.grad(X, weight) - mps.grad(X, weight))) <= 1e-13
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("readout", [0, 3, 6])
+def test_light_cone_of_a_wide_model(layers, readout):
+    # the readout after `layers` chains depends on qubits 0 .. readout + layers - 1
+    # only, so a 40-qubit model scores like the model cut to that cone
+    n, cone = 40, readout + layers
+    rng = np.random.default_rng([layers, readout])
+    theta = rng.uniform(-2 * np.pi, 2 * np.pi, (layers, n))
+    wide = QnnModel(n, layers, theta.ravel(), readout)
+    narrow = QnnModel(cone, layers, theta[:, :cone].ravel(), readout)
+    X = rng.uniform(0, 1, size=(3, n))
+    y = rng.choice([-1, 1], size=3)
+    slow = np.array(
+        [expectation_z(run_circuit(build_model_circuit(narrow, x[:cone])), readout) for x in X]
+    )
+    assert np.max(np.abs(qnn_scores(wide, X) - slow)) <= 1e-12
+    weight = hinge_weights(narrow, X[:, :cone], y)
+    assert np.any(weight)
+    expected = sum(w * qnn_score_grad(narrow, x[:cone]) for w, x in zip(weight, X) if w)
+    grad = parameter_shift_grad(wide, X, y).reshape(layers, n)
+    assert np.max(np.abs(grad[:, :cone].ravel() - expected)) <= 1e-12
+    assert np.max(np.abs(grad[:, cone:])) <= 1e-15
 
 
 # --- Adam ---------------------------------------------------------------------
