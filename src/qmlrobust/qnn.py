@@ -6,58 +6,47 @@ class is its sign (ties go to +1). Training is full-batch Adam from
 parameters drawn by `init_params`; `train_qnn` has the call shape of
 `mlp.train_mlp`.
 
-Every gate of the model is real, so both kernels work in float64, and the
-same three facts shape them. The encoding RY(pi*x) and the layer-0
-RY(theta) fuse into one rotation, so the state after layer 0 is a product
-state. The CNOT chain 0->1->...->n-1 sends basis state b to its prefix
-parities c_j = b_0 ^ ... ^ b_j, a classical map with a one-bit carry. The
-last chain folds into the readout: Z_r after it is Z_0 Z_1 ... Z_r before
-it.
+The kernel is an exact matrix product state in float64 (every gate of the
+model is real). Three facts shape it. The encoding RY(pi*x) and the
+layer-0 RY(theta) fuse into one rotation, so the state after layer 0 is a
+product state. The CNOT chain 0->1->...->n-1 sends basis state b to its
+prefix parities c_j = b_0 ^ ... ^ b_j, a classical map with a one-bit
+carry. The last chain folds into the readout: Z_r after it is
+Z_0 Z_1 ... Z_r before it.
 
-**Matrix product state (`_Mps`).** Qubit q is one tensor of shape
-(left bond, 2, right bond, rows), rows last, and the tensors of all qubits
-are one array. A chain is applied site by site as an index copy,
-new[(l, p), c, (r, c)] = old[l, c ^ p, r], with the incoming carry p on
-the left bond and the outgoing carry c on the right one; RY then mixes the
-physical index. Each chain doubles the bonds, so the state before the last
-chain is an exact MPS of bond 2**(layers - 1) (Vidal, quant-ph/0301063),
-and a score is one left-to-right transfer contraction with (1, -1) on the
-physical index of qubits up to the readout. Because the chain acts site by
-site, a site's final tensor depends only on its own feature and its own
-angles. One sweep of right environments and the left sweep of the score
-give d score / d tensor for every site; stepping those back through the
-layers (the adjoint of RY, then of the index copy) gives every angle's
-derivative: the adjoint method of Jones & Gacon (arXiv:2009.02823) on
-tensors, about three score passes. Every product and sum runs elementwise
-over the rows, with no BLAS call, because numpy pays one BLAS call per
-tiny 2 x 2 or 4 x 4 matrix.
+**Layout.** Qubit q is one tensor of shape (left bond, 2, right bond,
+rows), rows last, and the tensors of all qubits are one array. A chain is
+applied site by site as an index copy, new[(l, p), c, (r, c)] =
+old[l, c ^ p, r], with the incoming carry p on the left bond and the
+outgoing carry c on the right one; RY then mixes the physical index. Each
+chain doubles the bonds, so the state before the last chain is an exact
+MPS of bond 2**(layers - 1) (Vidal, quant-ph/0301063), and a score is one
+left-to-right transfer contraction with (1, -1) on the physical index of
+qubits up to the readout.
 
-**Statevector (`_Statevector`).** Float64 amplitudes, 2**n per row. Layer
-0 is the product state, each later RY layer is one 16 x 16 Kronecker gate
-per group of four qubits applied as a batched matmul (`_rotate`), each
-chain is one index permutation, and the last chain is a +-1 sign vector.
-The gradient is the same adjoint sweep on amplitudes: per layer and group
-of four qubits, one contraction gives the cross-Gram matrix of the adjoint
-and the state, from which each qubit's derivative is a sum of entries
-(`_layer_grad`).
+**Gradient.** Because the chain acts site by site, a site's final tensor
+depends only on its own feature and its own angles. One sweep of right
+environments and the left sweep of the score give d score / d tensor for
+every site; stepping those back through the layers (the adjoint of RY,
+then of the index copy) gives every angle's derivative: the adjoint method
+of Jones & Gacon (arXiv:2009.02823) on tensors, about three score passes.
 
-**Which kernel runs** depends on the model's shape alone
-(`_kernel_class`): the MPS costs about n * 8**(layers - 1) per row, the
-statevector layers * 2**n, and the smaller estimate wins. Timed on a
-2-core host (scores plus gradient of 200 rows, n in {4, 8, 12, 16}, 1-6
-layers), the rule picked the faster kernel in 23 of the 24 cells; the miss
-is n=4 with 2 layers, where the estimates tie, at 0.53 ms for the MPS and
-0.56 ms for the statevector. The statevector stays because the bond grows
-without a cap: at n=8 with 6 layers the MPS took 4.1 s against 12 ms.
-Either kernel runs in row blocks of about 1 MiB of its own arrays, so a
-wide model (say 32 qubits, 6 layers on the MPS) stays in bounded memory,
-and a row scores bit-identically in any block.
+Every product and sum runs elementwise over the rows, with no BLAS call,
+because numpy pays one BLAS call per tiny 2 x 2 or 4 x 4 matrix. A score
+costs about n * 8**(layers - 1) operations per row where a statevector
+costs layers * 2**n, so the MPS wins at every width with 1 or 2 layers (it
+makes 32 qubits cheap) and loses on deep circuits: the bond is not capped,
+and at 8 qubits with 6 layers scoring plus gradient of 200 rows took 4.1 s
+against 12 ms for a float64 statevector (2-core host). The kernel runs in
+row blocks whose gradient arrays total about `_BLOCK_BYTES`, so a wide
+model stays in bounded memory, and a row scores bit-identically in any
+block.
 
 The reference oracle is `qnn_score_grad`: the per-sample two-point
 parameter shift on the complex gate-kernel path of `simulator`
-(`_variational_amps`). Tests pit both kernels against it, against
-`run_circuit(build_model_circuit(...))`, against each other and against
-finite differences.
+(`_variational_amps`). Tests pit the kernel against it, against
+`run_circuit(build_model_circuit(...))`, against a float64 statevector
+and against finite differences.
 """
 from __future__ import annotations
 
@@ -82,12 +71,8 @@ from .simulator import (
 
 SHIFT = math.pi / 2  # exact-gradient shift for RY parameters
 
-# kernel bytes per row block (`row_bytes` of each kernel): small enough to
-# stay in L2 while a block is pushed through every layer
-_BLOCK_BYTES = 2**20
-
-# qubits per Kronecker gate in an RY layer: a 16 x 16 matmul per group
-_GROUP = 4
+# bytes the gradient of one row block allocates (`_block_rows`)
+_BLOCK_BYTES = 3 * 2**20
 
 
 @dataclass
@@ -137,171 +122,6 @@ def build_model_circuit(model: QnnModel, x) -> QuantumCircuit:
         for q in range(model.n_qubits - 1):
             circuit.gates.append(cnot(q, q + 1))
     return circuit
-
-
-def _chain_maps(n_qubits: int, readout: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index maps of the CNOT chain 0->1->...->n-1 and the readout it folds into.
-
-    The chain sends basis state b to its prefix parities c (c_k = b_0 ^ ... ^ b_k).
-    Returns (gather, scatter, sign): chained = state[:, gather] applies the chain,
-    state = chained[:, scatter] undoes it, and <Z_readout> after the chain is
-    sum(state**2 * sign) before it.
-    """
-    idx = np.arange(2**n_qubits)
-    gather = idx ^ ((idx << 1) & (2**n_qubits - 1))
-    scatter = np.empty_like(gather)
-    scatter[gather] = idx
-    sign = 1.0 - 2.0 * ((scatter >> readout) & 1)
-    return gather, scatter, sign
-
-
-def _ry_kron(angles: np.ndarray) -> np.ndarray:
-    """RY(angles[-1]) x ... x RY(angles[0]): the 2**g x 2**g gate of g adjacent qubits.
-
-    Each step is a Kronecker product with the next lower qubit's RY, so
-    angles[0] acts on bit 0 of the gate's index, as in the state's columns.
-    """
-    out = np.ones((1, 1))
-    for angle in angles[::-1]:
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        ry = np.array([[c, -s], [s, c]])
-        out = (out[:, None, :, None] * ry[None, :, None, :]).reshape(2 * len(out), -1)
-    return out
-
-
-def _rotate(
-    psi: np.ndarray, angles: np.ndarray, spare: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """RY(angles[q]) on every qubit q of a real (rows, 2**n) state.
-
-    The qubits split into groups of `_GROUP`; a group's gate is the
-    Kronecker product of its RYs (`_ry_kron`), applied as one matmul over
-    the block. The g qubits from lo up are axis 1 of psi.reshape(-1, 2**g,
-    2**lo); the lowest group is the last axis of psi.reshape(rows, -1, 2**g).
-    Either way every row goes through BLAS calls of the same shape, so a row
-    rotates bit-identically in any block. A flat (rows * 2**(n-4), 16) gemm
-    would not: one row alone goes to gemv, which rounds differently; it was
-    also several times slower at 8 qubits, as BLAS split it across threads.
-    Groups ping-pong between psi and spare, an array of the same shape;
-    both are overwritten. Returns (rotated state, the other array).
-    """
-    for lo in range(0, angles.size, _GROUP):
-        gate = _ry_kron(angles[lo : lo + _GROUP])
-        dim = gate.shape[0]
-        if lo == 0:
-            shape = (psi.shape[0], -1, dim)
-            np.matmul(psi.reshape(shape), gate.T, out=spare.reshape(shape))
-        else:
-            shape = (-1, dim, 2**lo)
-            np.matmul(gate, psi.reshape(shape), out=spare.reshape(shape))
-        psi, spare = spare, psi
-    return psi, spare
-
-
-def _forward(
-    theta: np.ndarray, X: np.ndarray, gather: np.ndarray, spare: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real state of a row block just before the last CNOT chain.
-
-    theta is (layers, qubits). Layer 0 fuses with the encoding,
-    RY(theta)RY(pi*x) = RY(pi*x + theta), so it is built as a product state.
-    spare is scratch of the block's state shape. Returns (state, the free
-    array of the two), so callers reuse one scratch array for every block
-    instead of faulting in fresh pages per layer.
-    """
-    half = (math.pi * X + theta[0]) / 2.0
-    c, s = np.cos(half), np.sin(half)
-    psi = np.stack((c[:, 0], s[:, 0]), axis=1)
-    for q in range(1, X.shape[1]):
-        # qubit q becomes the new most significant bit
-        psi = (np.stack((c[:, q], s[:, q]), axis=1)[:, :, None] * psi[:, None, :]).reshape(
-            X.shape[0], -1
-        )
-    for angles in theta[1:]:
-        # mode="clip" writes to out directly ("raise" buffers); gather is a
-        # permutation, so nothing is clipped
-        np.take(psi, gather, axis=1, out=spare, mode="clip")
-        psi, spare = _rotate(spare, angles, psi)
-    return psi, spare
-
-
-def _step_back(
-    state: np.ndarray, angles: np.ndarray, scatter: np.ndarray, spare: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Undo one layer: RY(-angles), then the inverse CNOT chain. Returns (state, free array)."""
-    state, spare = _rotate(state, -angles, spare)
-    np.take(state, scatter, axis=1, out=spare, mode="clip")
-    return spare, state
-
-
-def _layer_grad(psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """<lam| J_q |psi> summed over rows for every qubit q, J = -iY = [[0, -1], [1, 0]].
-
-    Per group of `_GROUP` qubits, one contraction gives the cross-Gram
-    matrix G[a, b] = sum lam[..a..] psi[..b..] over every other index.
-    J_q pairs a = b | 2**j with b (bit j of b clear, j = q - lo) as +1 and
-    the transpose as -1, so <lam|J_q psi> = sum (G - G.T)[b | 2**j, b].
-    """
-    n_qubits = psi.shape[1].bit_length() - 1
-    out = np.empty(n_qubits)
-    for lo in range(0, n_qubits, _GROUP):
-        size = min(_GROUP, n_qubits - lo)
-        dim = 2**size
-        if lo == 0:
-            gram = lam.reshape(-1, dim).T @ psi.reshape(-1, dim)
-        else:
-            shape = (-1, dim, 2**lo)
-            gram = np.sum(lam.reshape(shape) @ psi.reshape(shape).transpose(0, 2, 1), axis=0)
-        skew = gram - gram.T
-        b = np.arange(dim)
-        for j in range(size):
-            low = b[(b >> j) & 1 == 0]
-            out[lo + j] = skew[low | (1 << j), low].sum()
-    return out
-
-
-class _Statevector:
-    """Float64 amplitudes of a row block; one scratch array serves every block."""
-
-    @staticmethod
-    def row_bytes(n_qubits: int, n_layers: int) -> int:
-        return 8 * 2**n_qubits
-
-    def __init__(self, theta: np.ndarray, readout: int, rows: int):
-        self.theta = theta
-        self.gather, self.scatter, self.sign = _chain_maps(theta.shape[1], readout)
-        self.scratch = np.empty((rows, self.sign.size))
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        """Scores of a row block: a view into the scratch array, valid until the next call."""
-        psi, _ = _forward(self.theta, X, self.gather, self.scratch[: len(X)])
-        psi *= psi
-        psi *= self.sign
-        # halving sums: a fixed order per row, so a row scores the same in any block
-        width = psi.shape[1]
-        while width > 1:
-            width //= 2
-            psi[:, :width] += psi[:, width : 2 * width]
-        return psi[:, 0]
-
-    def grad(self, X: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """sum over rows of weight * d score / d theta, shape (layers, qubits).
-
-        lam = weight * sign * psi is the adjoint of the final state; walking
-        back one layer at a time, every qubit's derivative in that layer is
-        <lam|J_q psi>, then RY(-theta) and the inverse chain step both back.
-        """
-        theta = self.theta
-        grad = np.empty_like(theta)
-        psi, free = _forward(theta, X, self.gather, self.scratch[: len(X)])
-        lam = psi * self.sign
-        lam *= weight[:, None]
-        for layer in range(len(theta) - 1, -1, -1):
-            grad[layer] = _layer_grad(psi, lam)
-            if layer:
-                psi, free = _step_back(psi, theta[layer], self.scatter, free)
-                lam, free = _step_back(lam, theta[layer], self.scatter, free)
-        return grad
 
 
 def _ry(angles: np.ndarray) -> np.ndarray:
@@ -390,89 +210,74 @@ def _close(half: np.ndarray, site: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Mps:
-    """Exact matrix product state of a row block, bond 2**(layers - 1).
+def _block_rows(n_qubits: int, n_layers: int) -> int:
+    """Rows per block, from what the gradient allocates per row.
+
+    A site tensor after the last layer holds 4**layers / 2 floats per row.
+    The tensors of every layer (`_mps_layers`) add up to about 2/3 of
+    4**layers, and the gradient's left halves, right environments,
+    site derivatives with their temporary and the moved tensors to about
+    2 * 4**layers more: about 3 * 4**layers floats per site and row.
+    """
+    return max(1, _BLOCK_BYTES // (24 * n_qubits * 4**n_layers))
+
+
+def _scores(theta: np.ndarray, readout: int, X: np.ndarray) -> np.ndarray:
+    """Scores of a row block; theta is (layers, qubits).
 
     Every product and sum runs elementwise over the rows in a fixed order
     (never a numpy reduction over a bond, whose order can change with the
     row count), so a row gets the same bits in any block.
     """
-
-    @staticmethod
-    def row_bytes(n_qubits: int, n_layers: int) -> int:
-        # floats per row and site: all layers' tensors ~(2/3) 4**layers; the
-        # gradient's environments and adjoint add about as much again
-        return 8 * n_qubits * 4**n_layers
-
-    def __init__(self, theta: np.ndarray, readout: int, rows: int):
-        self.theta = theta
-        self.readout = readout
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        sites = _mps_layers(self.theta, X)[-1]
-        env = _left_edge(sites.shape[1], len(X))
-        for q, site in enumerate(sites):
-            env = _close(_absorb(env, site, q <= self.readout), site)
-        # the right edge is all ones: sum the environment over both bonds
-        terms = env.reshape(-1, len(X))
-        score = terms[0].copy()
-        for term in terms[1:]:
-            score += term
-        return score
-
-    def grad(self, X: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """sum over rows of weight * d score / d theta, shape (layers, qubits).
-
-        score = sum left[l, l'] s_p site[l, p, r] site[l', p, r'] right[r, r']
-        at every site, with symmetric environments, so d score / d site is
-        2 (left s site right). Seeding the right edge with 2 * weight makes
-        it the weighted derivative directly. Each site's final tensor depends
-        only on its own feature and angles, so the derivatives of all sites
-        step back through the layers together.
-        """
-        theta, readout = self.theta, self.readout
-        layers = _mps_layers(theta, X)
-        sites = layers[-1]
-        n_qubits, bond = sites.shape[:2]
-        right = np.empty((n_qubits, bond, bond, len(X)))  # right[q]: right of site q
-        right[-1] = 2.0 * weight
-        for q in range(n_qubits - 1, 0, -1):
-            mirrored = sites[q].transpose(2, 1, 0, 3)  # right bond first
-            right[q - 1] = _close(_absorb(right[q], mirrored, q <= readout), mirrored)
-        half = np.empty_like(sites)
-        env = _left_edge(bond, len(X))
-        for q, site in enumerate(sites):
-            half[q] = _absorb(env, site, q <= readout)
-            env = _close(half[q], site)
-        # d score / d site[q][a, p, b] = sum over r of half[q][a, p, r] right[q][b, r]
-        d_sites = half[:, :, :, 0, None] * right[:, None, None, :, 0]
-        for r in range(1, bond):
-            d_sites += half[:, :, :, r, None] * right[:, None, None, :, r]
-        grad = np.empty_like(theta)
-        for layer in range(len(theta) - 1, -1, -1):
-            # d RY(t)/dt = J RY(t) / 2 with J = [[0, -1], [1, 0]]; the
-            # encoding's fused angle moves with theta[0] the same way
-            a = layers[layer]
-            moved = d_sites[:, :, 1] * a[:, :, 0] - d_sites[:, :, 0] * a[:, :, 1]
-            grad[layer] = 0.5 * moved.reshape(n_qubits, -1).sum(axis=1)
-            if layer:
-                d_sites = _chain_ry_adjoint(d_sites, theta[layer])
-        return grad
+    sites = _mps_layers(theta, X)[-1]
+    env = _left_edge(sites.shape[1], len(X))
+    for q, site in enumerate(sites):
+        env = _close(_absorb(env, site, q <= readout), site)
+    # the right edge is all ones: sum the environment over both bonds
+    terms = env.reshape(-1, len(X))
+    score = terms[0].copy()
+    for term in terms[1:]:
+        score += term
+    return score
 
 
-def _kernel_class(n_qubits: int, n_layers: int) -> type[_Mps] | type[_Statevector]:
-    """The MPS when its cost per row, n * 8**(layers - 1), is below the statevector's."""
-    if n_qubits * 8 ** (n_layers - 1) < n_layers * 2**n_qubits:
-        return _Mps
-    return _Statevector
+def _grad(theta: np.ndarray, readout: int, X: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sum over rows of weight * d score / d theta, shape (layers, qubits).
 
-
-def _kernel(model: QnnModel, n_rows: int) -> tuple[_Mps | _Statevector, int]:
-    """The model's kernel, sized for its row blocks, and the rows per block."""
-    theta = model.params.reshape(model.n_layers, model.n_qubits)
-    kind = _kernel_class(model.n_qubits, model.n_layers)
-    step = max(1, _BLOCK_BYTES // kind.row_bytes(model.n_qubits, model.n_layers))
-    return kind(theta, model.readout_qubit, min(step, n_rows)), step
+    score = sum left[l, l'] s_p site[l, p, r] site[l', p, r'] right[r, r']
+    at every site, with symmetric environments, so d score / d site is
+    2 (left s site right). Seeding the right edge with 2 * weight makes
+    it the weighted derivative directly. Each site's final tensor depends
+    only on its own feature and angles, so the derivatives of all sites
+    step back through the layers together.
+    """
+    layers = _mps_layers(theta, X)
+    sites = layers[-1]
+    n_qubits, bond = sites.shape[:2]
+    right = np.empty((n_qubits, bond, bond, len(X)))  # right[q]: right of site q
+    right[-1] = 2.0 * weight
+    for q in range(n_qubits - 1, 0, -1):
+        mirrored = sites[q].transpose(2, 1, 0, 3)  # right bond first
+        right[q - 1] = _close(_absorb(right[q], mirrored, q <= readout), mirrored)
+    half = np.empty_like(sites)
+    env = _left_edge(bond, len(X))
+    for q, site in enumerate(sites):
+        half[q] = _absorb(env, site, q <= readout)
+        env = _close(half[q], site)
+    # d score / d site[q][a, p, b] = sum over r of half[q][a, p, r] right[q][b, r]
+    d_sites = half[:, :, :, 0, None] * right[:, None, None, :, 0]
+    for r in range(1, bond):
+        d_sites += half[:, :, :, r, None] * right[:, None, None, :, r]
+    grad = np.empty_like(theta)
+    for layer in range(len(theta) - 1, -1, -1):
+        # d RY(t)/dt = J RY(t) / 2 with J = [[0, -1], [1, 0]]; the
+        # encoding's fused angle moves with theta[0] the same way
+        a = layers[layer]
+        moved = d_sites[:, :, 1] * a[:, :, 0] - d_sites[:, :, 0] * a[:, :, 1]
+        grad[layer] = 0.5 * moved.reshape(n_qubits, -1).sum(axis=1)
+        if layer:
+            d_sites = _chain_ry_adjoint(d_sites, theta[layer])
+    return grad
 
 
 def _variational_amps(
@@ -494,10 +299,11 @@ def qnn_scores(model: QnnModel, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (batch, {model.n_qubits}) features, got {X.shape}")
     if model.params is None:
         raise ValueError("model has no parameters; draw them with init_params")
-    kernel, step = _kernel(model, X.shape[0])
+    theta = model.params.reshape(model.n_layers, model.n_qubits)
+    step = _block_rows(model.n_qubits, model.n_layers)
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], step):
-        out[start : start + step] = kernel.scores(X[start : start + step])
+        out[start : start + step] = _scores(theta, model.readout_qubit, X[start : start + step])
     return out
 
 
@@ -526,7 +332,7 @@ def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray) -> np.nd
     The hinge contributes -y per sample strictly inside the margin and 0
     otherwise (subgradient 0 exactly at the kink); the weights come from
     one `qnn_scores` call, and samples past the margin are skipped. The
-    kernel's adjoint sweep gives every layer x qubit derivative of the
+    adjoint sweep (`_grad`) gives every layer x qubit derivative of the
     weighted scores at once. The result equals the exact two-point
     parameter shift (`qnn_score_grad`) weighted by the hinge.
     """
@@ -537,11 +343,12 @@ def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray) -> np.nd
     scores = qnn_scores(model, X)
     weight = np.where(y * scores < 1.0, -y.astype(float), 0.0) / X.shape[0]
     active = np.nonzero(weight)[0]
-    kernel, step = _kernel(model, active.size)
-    grad = np.zeros((model.n_layers, model.n_qubits))
+    theta = model.params.reshape(model.n_layers, model.n_qubits)
+    step = _block_rows(model.n_qubits, model.n_layers)
+    grad = np.zeros_like(theta)
     for start in range(0, active.size, step):
         rows = active[start : start + step]
-        grad += kernel.grad(X[rows], weight[rows])
+        grad += _grad(theta, model.readout_qubit, X[rows], weight[rows])
     return grad.ravel()
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import statevector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,11 +16,9 @@ from qmlrobust.data import FeatureMatrix
 from qmlrobust.optim import EPS_STABILIZER, AdamState, adam_step, mean_hinge_loss
 from qmlrobust.qnn import (
     QnnModel,
-    _kernel,
-    _kernel_class,
-    _Mps,
-    _rotate,
-    _Statevector,
+    _block_rows,
+    _grad,
+    _scores,
     build_model_circuit,
     init_params,
     load_qnn,
@@ -124,10 +123,8 @@ def test_forward_scores_bounded():
 
 
 def test_batch_scores_match_single_forward():
-    # (qubits, layers, kernel): 4 x 2 is the statevector's by a tie of the
-    # cost rule; 8 x 3 has bond 4, so its sums run over eight terms
-    for n, layers, kind in ((4, 2, _Statevector), (8, 2, _Mps), (8, 3, _Mps)):
-        assert _kernel_class(n, layers) is kind
+    # 8 x 3 has bond 4, so its sums run over eight terms; 4 x 4 has bond 8
+    for n, layers in ((4, 2), (8, 2), (8, 3), (4, 4)):
         rng = np.random.default_rng(4)
         model = model_with(n, layers, seed=8)
         X = rng.uniform(0, 1, size=(9, n))
@@ -138,12 +135,11 @@ def test_batch_scores_match_single_forward():
 
 def test_scores_do_not_depend_on_row_blocks():
     # a row block holds fewer than 150 rows at these shapes, so the batches split differently
-    for n, layers, kind in ((11, 5, _Statevector), (16, 3, _Mps)):
+    for n, layers in ((11, 5), (16, 3)):
         rng = np.random.default_rng(12)
         model = model_with(n, layers, seed=3)
         X = rng.uniform(0, 1, size=(150, n))
-        kernel, step = _kernel(model, len(X))
-        assert isinstance(kernel, kind) and step < len(X)
+        assert _block_rows(n, layers) < len(X)
         pieces = [qnn_scores(model, X[a:b]) for a, b in ((0, 1), (1, 77), (77, 150))]
         np.testing.assert_array_equal(qnn_scores(model, X), np.concatenate(pieces))
 
@@ -162,13 +158,14 @@ def test_two_pi_shift_invariance(seed, j):
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_rotate_matches_per_qubit_butterfly(n):
-    # both signs: the adjoint sweep steps back with RY(-theta)
+    # the test statevector's grouped Kronecker rotation; both signs, as its
+    # adjoint sweep steps back with RY(-theta)
     rng = np.random.default_rng(n)
     rows = max(1, 2**14 // 2**n)
     psi = rng.standard_normal((rows, 2**n))
     for angles in (rng.uniform(-2 * np.pi, 2 * np.pi, n), -rng.uniform(0, np.pi, n)):
         expected = rotate_reference(psi, angles)
-        rotated, _ = _rotate(psi.copy(), angles, np.empty_like(psi))
+        rotated = statevector.rotate(psi, angles)
         assert np.max(np.abs(rotated - expected)) <= 1e-13
 
 
@@ -243,12 +240,7 @@ def test_gradient_empty_batch_rejected():
 
 @st.composite
 def random_problems(draw):
-    """A model of width 1-8, 1-4 layers and any readout qubit, with a labelled batch.
-
-    Both kernels run: the MPS with 1 layer, with 2 layers from 5 qubits
-    and with 3 layers at 8; the statevector elsewhere, so at every width
-    here with 4 layers.
-    """
+    """A model of width 1-8, 1-4 layers and any readout qubit, with a labelled batch."""
     n = draw(st.integers(1, 8))
     layers = draw(st.integers(1, 4))
     readout = draw(st.integers(0, n - 1))
@@ -304,10 +296,7 @@ def test_adjoint_gradient_matches_central_differences(problem):
     assert np.max(np.abs(parameter_shift_grad(model, X, y) - fd)) <= 1e-8
 
 
-# widths past two groups of four qubits: each has a middle group (qubits 4-7)
-# with qubits on both sides, and 9 and 13 end in a partial group; 9 and 10
-# qubits with 4 layers run on the statevector, the rest on the MPS (13 x 4
-# with bond 8)
+# widths past what `random_problems` draws, up to bond 8 (4 layers)
 WIDE_PROBLEMS = [
     (9, 1, 3),
     (9, 3, 0),
@@ -351,7 +340,7 @@ import numpy as np
 from qmlrobust.qnn import QnnModel, parameter_shift_grad, qnn_scores
 
 digest = hashlib.sha256()
-# the first four run on the MPS, the last three on the statevector
+# 1 to 5 layers: bonds 1 to 16
 for n, layers, rows in (
     (2, 1, 20000), (8, 2, 300), (12, 2, 70), (13, 2, 40), (2, 2, 20000), (8, 4, 300), (12, 5, 70)
 ):
@@ -384,31 +373,24 @@ def test_kernel_bytes_do_not_depend_on_blas_threads():
     assert digests[0] == digests[1]
 
 
-# --- kernel selection -------------------------------------------------------
+# --- against the test statevector ---------------------------------------------
 
 
+# 2 to 6 layers (bond 2 to 32), each with the first, a middle and the last
+# readout qubit
 @pytest.mark.parametrize(
-    "n, layers, kind",
-    [(8, 2, _Mps), (12, 2, _Mps), (16, 2, _Mps), (2, 1, _Mps)]
-    + [(4, 4, _Statevector), (8, 4, _Statevector), (12, 5, _Statevector), (2, 2, _Statevector)],
+    "n, layers", [(4, 2), (8, 3), (6, 2), (6, 3), (3, 3), (10, 3), (5, 5), (3, 6)]
 )
-def test_kernel_chosen_by_shape(n, layers, kind):
-    assert _kernel_class(n, layers) is kind
-
-
-# where the kernels run closest (4 x 2, a tie of the rule at 32 vs 32; 8 x 3
-# at 512 vs 768), 6 x 2 and 10 x 3 on the MPS side and 6 x 3 and 3 x 3 on the
-# statevector's, each with the first, a middle and the last readout qubit
-@pytest.mark.parametrize("n, layers", [(4, 2), (8, 3), (6, 2), (6, 3), (3, 3), (10, 3)])
-def test_both_kernels_agree(n, layers):
+def test_mps_matches_statevector(n, layers):
     rng = np.random.default_rng([n, layers])
     theta = rng.uniform(-2 * np.pi, 2 * np.pi, (layers, n))
     X = rng.uniform(0, 1, size=(40, n))
     weight = rng.uniform(-1, 1, 40)
     for readout in sorted({0, n // 2, n - 1}):
-        sv, mps = _Statevector(theta, readout, len(X)), _Mps(theta, readout, len(X))
-        assert np.max(np.abs(sv.scores(X) - mps.scores(X))) <= 1e-13
-        assert np.max(np.abs(sv.grad(X, weight) - mps.grad(X, weight))) <= 1e-13
+        expected = statevector.scores(theta, readout, X)
+        assert np.max(np.abs(_scores(theta, readout, X) - expected)) <= 1e-13
+        expected = statevector.grad(theta, readout, X, weight)
+        assert np.max(np.abs(_grad(theta, readout, X, weight) - expected)) <= 1e-13
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])
