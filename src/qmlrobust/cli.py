@@ -7,24 +7,26 @@ Subcommands:
   evaluate    score a model checkpoint against a reduced CSV
   report      re-render the artifacts of a stored report.json
 
-Flags mirror the config fields in kebab-case. An optional "--config FILE"
-supplies "key = value" defaults; explicit flags win. Exit codes: 0 success,
-1 runtime failure, 2 usage error.
+Flags mirror the config fields in kebab-case, and each is parsed as its
+field is in a config file (comma-separated integers for --mlp-hidden). An
+optional "--config FILE" supplies "key = value" defaults whose keys must be
+config field names (as in config.echo, which reads back as a config file);
+explicit flags win. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import FeatureMatrix, subset
 from .experiment import (
-    EVALUATE_ONLY,
-    FINETUNE,
+    CONFIG_CODECS,
+    FINETUNE_MODES,
     MODELS,
     ExperimentConfig,
     emit_report,
@@ -34,62 +36,46 @@ from .experiment import (
     run_pipeline,
     save_report_json,
     split_name_column,
-    stage_seed,
     write_reduced_csv,
 )
 from .metrics import confusion, scalar_metrics
 from .mlp import load_mlp, mlp_scores, save_mlp
-from .perturb import PerturbationConfig, build_adversarial_set
+from .perturb import build_adversarial_set
 from .qnn import load_qnn, qnn_scores, save_qnn
 
 
-def _parse_hidden(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+def read_config_file(path: str | Path) -> dict[str, object]:
+    """Config field values from "key = value" lines; blank lines and # comments ignored.
 
-
-# config-file value parsers, keyed by ExperimentConfig field name
-_FIELD_PARSERS = {
-    "data_path": str,
-    "output_dir": str,
-    "label_column": str,
-    "seed": int,
-    "pca_components": int,
-    "epsilon": float,
-    "perturb_fraction": float,
-    "epochs": int,
-    "learning_rate": float,
-    "qnn_layers": int,
-    "mlp_hidden": _parse_hidden,
-    "finetune_mode": str,
-}
-
-
-def read_config_file(path: str | Path) -> dict[str, str]:
-    """Line-oriented "key = value" pairs; blank lines and # comments ignored."""
-    entries: dict[str, str] = {}
+    Each key must be a config field name, and its value must parse as that
+    field's type; otherwise the error names the file, the line and the key.
+    """
+    values: dict[str, object] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         if "=" not in text:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = text.partition("=")
-        entries[key.strip()] = value.strip()
-    return entries
+        key, _, value = (part.strip() for part in text.partition("="))
+        if key not in CONFIG_CODECS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = CONFIG_CODECS[key][0](value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+    return values
 
 
-def _add_shared_flags(sub: argparse.ArgumentParser, fields: tuple[str, ...]) -> None:
-    kind = {int: int, float: float}
-    for name in fields:
+def _add_shared_flags(sub: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
+    for name in names:
         flag = "--" + name.replace("_", "-")
-        if name == "finetune_mode":
-            sub.add_argument(flag, choices=[EVALUATE_ONLY, FINETUNE])
-        else:
-            sub.add_argument(flag, type=kind.get(_FIELD_PARSERS[name], str))
+        choices = FINETUNE_MODES if name == "finetune_mode" else None
+        sub.add_argument(flag, type=CONFIG_CODECS[name][0], choices=choices)
     sub.add_argument("--config", help="config file with 'key = value' lines; flags override")
 
 
-_RUN_FIELDS = tuple(_FIELD_PARSERS)
+_RUN_FIELDS = tuple(CONFIG_CODECS)
 _PREPROCESS_FIELDS = ("data_path", "label_column", "seed", "pca_components")
 _ATTACK_FIELDS = ("seed", "epsilon", "perturb_fraction")
 
@@ -133,23 +119,15 @@ def parse_cli(argv: list[str]) -> tuple[str, ExperimentConfig, argparse.Namespac
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    file_values: dict[str, str] = {}
+    overrides = {}
     if getattr(args, "config", None):
         try:
-            file_values = read_config_file(args.config)
+            overrides = read_config_file(args.config)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
-
-    overrides = {}
-    for name, converter in _FIELD_PARSERS.items():
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            overrides[name] = _parse_hidden(cli_value) if name == "mlp_hidden" else cli_value
-        elif name in file_values:
-            try:
-                overrides[name] = converter(file_values[name])
-            except ValueError:
-                parser.error(f"config file: bad value for {name}: {file_values[name]!r}")
+    for name in CONFIG_CODECS:
+        if getattr(args, name, None) is not None:
+            overrides[name] = getattr(args, name)  # flags win over the file
 
     cfg = replace(ExperimentConfig(data_path=""), **overrides)
     if args.command in ("run", "preprocess") and not cfg.data_path:
@@ -191,10 +169,7 @@ def _cmd_attack(cfg: ExperimentConfig, args) -> None:
     if rows.size == 0:
         raise ValueError(f"no rows in split {args.target_split!r}")
     stream = "noise-finetune" if args.target_split == "finetune" else "noise"
-    noise_cfg = PerturbationConfig(
-        epsilon=cfg.epsilon, seed=stage_seed(cfg.seed, stream), fraction=cfg.perturb_fraction
-    )
-    adv, hit = build_adversarial_set(subset(data, rows), noise_cfg)
+    adv, hit = build_adversarial_set(subset(data, rows), cfg.perturbation(stream))
     values = data.values.copy()
     values[rows] = adv.values
     write_reduced_csv(FeatureMatrix(values=values, labels=data.labels), names, args.output)
@@ -236,7 +211,7 @@ def _cmd_evaluate(cfg: ExperimentConfig, args) -> None:
         f"recall={metrics.recall:.4f} f1={metrics.f1:.4f}"
     )
     if args.output:
-        payload = {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn, **metrics.as_dict()}
+        payload = {**asdict(cm), **asdict(metrics)}
         Path(args.output).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

@@ -282,29 +282,3 @@ def shuffle_and_split(data: FeatureMatrix, seed: int) -> DatasetSplits:
 
 def subset(data: FeatureMatrix, idx: np.ndarray) -> FeatureMatrix:
     return FeatureMatrix(values=data.values[idx].copy(), labels=data.labels[idx].copy())
-
-
-def make_separable(n_samples: int, n_features: int, seed: int) -> FeatureMatrix:
-    """Two well-separated Gaussian blobs in [0,1]^d, labels balanced in {-1,+1}.
-
-    Desk-scale benchmark for the end-to-end checks: easy enough for both
-    classifiers to learn, with enough margin that strong input noise
-    visibly degrades them.
-    """
-    rng = np.random.default_rng(seed)
-    n_pos = n_samples // 2
-    labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(n_samples - n_pos, dtype=int)])
-    centers = np.where(labels[:, None] > 0, 0.72, 0.28)
-    values = centers + 0.07 * rng.standard_normal((n_samples, n_features))
-    return FeatureMatrix(values=np.clip(values, 0.0, 1.0), labels=labels)
-
-
-def write_labeled_csv(data: FeatureMatrix, path: str | Path, label_column: str = "class") -> None:
-    """Serialize a FeatureMatrix as a raw CSV with 0/1 labels (CLI input format)."""
-    path = Path(path)
-    header = [f"f{j}" for j in range(data.n_features)] + [label_column]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row, label in zip(data.values, data.labels):
-            writer.writerow([format(v, ".17e") for v in row] + [1 if label > 0 else 0])

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -50,6 +50,7 @@ from .simulator import circuit_metrics
 
 EVALUATE_ONLY = "evaluate-only"
 FINETUNE = "finetune"
+FINETUNE_MODES = (EVALUATE_ONLY, FINETUNE)
 
 SPLIT_NAMES = ("train", "val", "test", "finetune")
 
@@ -100,27 +101,36 @@ class ExperimentConfig:
             problems.append("qnn-layers must be >= 1")
         if not self.mlp_hidden or any(w < 1 for w in self.mlp_hidden):
             problems.append("mlp-hidden widths must all be >= 1")
-        if self.finetune_mode not in (EVALUATE_ONLY, FINETUNE):
+        if self.finetune_mode not in FINETUNE_MODES:
             problems.append(f"finetune-mode must be {EVALUATE_ONLY!r} or {FINETUNE!r}")
         if problems:
             raise ValueError("; ".join(problems))
 
     def echo(self) -> dict[str, str]:
         """Config as ordered key/value strings (the config.echo file content)."""
-        return {
-            "data_path": self.data_path,
-            "output_dir": self.output_dir,
-            "label_column": self.label_column,
-            "seed": str(self.seed),
-            "pca_components": str(self.pca_components),
-            "epsilon": repr(self.epsilon),
-            "perturb_fraction": repr(self.perturb_fraction),
-            "epochs": str(self.epochs),
-            "learning_rate": repr(self.learning_rate),
-            "qnn_layers": str(self.qnn_layers),
-            "mlp_hidden": ",".join(str(w) for w in self.mlp_hidden),
-            "finetune_mode": self.finetune_mode,
-        }
+        return {name: fmt(getattr(self, name)) for name, (_, fmt) in CONFIG_CODECS.items()}
+
+    def perturbation(self, stream: str) -> PerturbationConfig:
+        """The configured attack, drawn from one noise substream."""
+        return PerturbationConfig(
+            epsilon=self.epsilon, seed=stage_seed(self.seed, stream), fraction=self.perturb_fraction
+        )
+
+
+def int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip() != ""]
+
+
+# how a config value is read from text and written as text, by field annotation;
+# floats are written with repr so that config.echo reads back to the same values
+_CODECS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, repr),
+    "list[int]": (int_list, lambda values: ",".join(map(str, values))),
+}
+# (parse, format) per ExperimentConfig field, in field order
+CONFIG_CODECS = {f.name: _CODECS[f.type] for f in fields(ExperimentConfig)}
 
 
 @dataclass
@@ -204,21 +214,11 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineArtifacts:
             results[m, "clean"] = _evaluate(test.labels, scorers[m](models[m], test.values))
 
     with _stage("attack"):
-        noise_cfg = PerturbationConfig(
-            epsilon=cfg.epsilon,
-            seed=stage_seed(cfg.seed, "noise"),
-            fraction=cfg.perturb_fraction,
-        )
-        adv_test, _ = build_adversarial_set(test, noise_cfg)
+        adv_test, _ = build_adversarial_set(test, cfg.perturbation("noise"))
 
     if cfg.finetune_mode == FINETUNE:
         with _stage("finetune"):
-            ft_cfg = PerturbationConfig(
-                epsilon=cfg.epsilon,
-                seed=stage_seed(cfg.seed, "noise-finetune"),
-                fraction=cfg.perturb_fraction,
-            )
-            adv_ft, _ = build_adversarial_set(finetune, ft_cfg)
+            adv_ft, _ = build_adversarial_set(finetune, cfg.perturbation("noise-finetune"))
             for m in MODELS:
                 models[m], histories[f"{m}_finetune"] = trainers[m](
                     models[m], adv_ft, val, cfg.epochs, cfg.learning_rate
@@ -279,7 +279,7 @@ def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
             written.append(path)
 
     # field order, not the dict's: a config reloaded from report.json comes back sorted
-    order = {f.name: i for i, f in enumerate(fields(ExperimentConfig))}
+    order = {name: i for i, name in enumerate(CONFIG_CODECS)}
     keys = sorted(report.config, key=lambda key: order.get(key, len(order)))
     path = out / "config.echo"
     path.write_text(
@@ -371,27 +371,10 @@ def render_curve_svg(title: str, named_curves: list[tuple[str, Curve]]) -> str:
 
 
 def report_to_dict(report: Report) -> dict:
-    return {
-        "config": report.config,
-        "circuit": report.circuit,
-        "before": {m: s.as_dict() for m, s in report.before.items()},
-        "after": {m: s.as_dict() for m, s in report.after.items()},
-        "confusions": {
-            key: {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn}
-            for key, cm in report.confusions.items()
-        },
-        "curves": {
-            key: {"kind": c.kind, "auc": c.auc, "points": c.points.tolist()}
-            for key, c in report.curves.items()
-        },
-        "histories": {
-            key: [
-                {"train_loss": r.train_loss, "val_loss": r.val_loss, "val_accuracy": r.val_accuracy}
-                for r in records
-            ]
-            for key, records in report.histories.items()
-        },
-    }
+    payload = asdict(report)
+    for curve in payload["curves"].values():
+        curve["points"] = curve["points"].tolist()
+    return payload
 
 
 def report_from_dict(payload: dict) -> Report:

@@ -8,7 +8,6 @@ always flip together.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,14 +33,6 @@ class ScalarMetrics:
     recall: float
     f1: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
 
 @dataclass
 class Curve:
@@ -62,10 +53,10 @@ def _check_scored(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     return labels, scores
 
 
-def confusion(labels, scores, threshold: float = 0.0) -> ConfusionMatrix:
-    """Count tp/fp/fn/tn at one threshold (predicted +1 iff score >= threshold)."""
+def confusion(labels, scores) -> ConfusionMatrix:
+    """Count tp/fp/fn/tn at threshold 0 (predicted +1 iff score >= 0)."""
     labels, scores = _check_scored(labels, scores)
-    predicted_pos = scores >= threshold
+    predicted_pos = scores >= 0.0
     actual_pos = labels > 0
     return ConfusionMatrix(
         tp=int(np.sum(predicted_pos & actual_pos)),
@@ -148,12 +139,3 @@ def pr_curve(labels, scores) -> Curve:
 def write_curve_csv(curve: Curve, path: str | Path) -> None:
     body = "".join(map("{:.17e},{:.17e}\n".format, *curve.points.T.tolist()))
     Path(path).write_text("x,y\n" + body, encoding="utf-8")
-
-
-def read_curve_csv(path: str | Path, kind: str = "roc") -> Curve:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "x,y":
-        raise ValueError(f"{path}: expected 'x,y' header")
-    points = np.asarray([[float(v) for v in line.split(",")] for line in lines[1:]])
-    return Curve(points=points, auc=_trapezoid(points), kind=kind)
-

@@ -24,8 +24,6 @@ class PerturbationConfig:
 
 def add_perturbation(data: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.ndarray:
     """Return data + epsilon * G with G standard normal, same shape; input untouched."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     noise = rng.standard_normal(data.shape)
     return data + epsilon * noise
 

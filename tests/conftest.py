@@ -1,6 +1,6 @@
 import pytest
 
-from qmlrobust.data import make_separable, write_labeled_csv
+from helpers import make_separable, write_labeled_csv
 
 
 @pytest.fixture

@@ -1,0 +1,44 @@
+"""Test-only data builders and readers: a separable synthetic dataset, its
+raw CSV form, and a reader for the report's curve CSVs."""
+import csv
+from pathlib import Path
+
+import numpy as np
+
+from qmlrobust.data import FeatureMatrix
+from qmlrobust.metrics import Curve
+
+
+def make_separable(n_samples: int, n_features: int, seed: int) -> FeatureMatrix:
+    """Two well-separated Gaussian blobs in [0,1]^d, labels balanced in {-1,+1}.
+
+    Easy enough for both classifiers to learn, with enough margin that
+    strong input noise visibly degrades them.
+    """
+    rng = np.random.default_rng(seed)
+    n_pos = n_samples // 2
+    labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(n_samples - n_pos, dtype=int)])
+    centers = np.where(labels[:, None] > 0, 0.72, 0.28)
+    values = centers + 0.07 * rng.standard_normal((n_samples, n_features))
+    return FeatureMatrix(values=np.clip(values, 0.0, 1.0), labels=labels)
+
+
+def write_labeled_csv(data: FeatureMatrix, path: str | Path, label_column: str = "class") -> None:
+    """Serialize a FeatureMatrix as a raw CSV with 0/1 labels (CLI input format)."""
+    header = [f"f{j}" for j in range(data.n_features)] + [label_column]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row, label in zip(data.values, data.labels):
+            writer.writerow([format(v, ".17e") for v in row] + [1 if label > 0 else 0])
+
+
+def read_curve_csv(path: str | Path, kind: str = "roc") -> Curve:
+    """A curve CSV as `metrics.write_curve_csv` writes it, with a trapezoidal AUC."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != "x,y":
+        raise ValueError(f"{path}: expected 'x,y' header")
+    points = np.asarray([[float(v) for v in line.split(",")] for line in lines[1:]])
+    x, y = points[:, 0], points[:, 1]
+    auc = float(np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0))
+    return Curve(points=points, auc=auc, kind=kind)

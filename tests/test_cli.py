@@ -50,6 +50,13 @@ def test_bad_numeric_literal_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_bad_hidden_width_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_cli(["run", "--data-path", "d.csv", "--mlp-hidden", "3,x"])
+    assert exc.value.code == 2
+    assert "--mlp-hidden" in capsys.readouterr().err
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         parse_cli([])
@@ -77,6 +84,26 @@ def test_config_file_parse_errors(tmp_path):
     bad.write_text("epsilon 0.5\n")
     with pytest.raises(ValueError, match="key = value"):
         read_config_file(bad)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("epoch = 1", "unknown key 'epoch'"), ("epochs = ten", "bad value for epochs: 'ten'")],
+)
+def test_config_file_bad_key_or_value_is_usage_error(tmp_path, capsys, line, message):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"# defaults\ndata_path = d.csv\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        parse_cli(["run", "--config", str(config)])
+    assert exc.value.code == 2
+    assert f"{config}:3: {message}" in capsys.readouterr().err
+
+
+def test_config_file_accepts_other_subcommands_fields(tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text("data_path = d.csv\nepochs = 3\nseed = 4\n")
+    _, cfg, _ = parse_cli(["attack", "--config", str(config), "--input", "r.csv"])
+    assert (cfg.data_path, cfg.epochs, cfg.seed) == ("d.csv", 3, 4)
 
 
 # --- execution ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import make_separable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,7 +8,6 @@ from qmlrobust.data import (
     FeatureMatrix,
     encode_and_normalize,
     load_csv,
-    make_separable,
     shuffle_and_split,
     subset,
 )

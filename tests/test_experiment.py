@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import make_separable, read_curve_csv, write_labeled_csv
 
-from qmlrobust.data import FeatureMatrix, make_separable, subset, write_labeled_csv
+from qmlrobust.data import FeatureMatrix, subset
 from qmlrobust.experiment import (
     ExperimentConfig,
     emit_report,
@@ -160,8 +161,6 @@ def test_report_text_carries_two_decimal_rows(synth_csv, tmp_path):
 
 
 def test_curve_csvs_round_trip(synth_csv, tmp_path):
-    from qmlrobust.metrics import read_curve_csv
-
     report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5)).report
     target = tmp_path / "render"
     emit_report(report, target)
@@ -178,9 +177,9 @@ def test_config_echo_round_trips_as_config_file(synth_csv, tmp_path):
     target = tmp_path / "render"
     emit_report(report, target)
     parsed = read_config_file(target / "config.echo")
-    assert parsed["seed"] == "5"
-    assert parsed["mlp_hidden"] == "8,4"
-    assert parsed["data_path"] == str(synth_csv)
+    assert parsed["seed"] == 5
+    assert parsed["mlp_hidden"] == [8, 4]
+    assert replace(ExperimentConfig(data_path=""), **parsed) == cfg
 
 
 def test_report_json_round_trip(synth_csv, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import read_curve_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,7 +8,6 @@ from qmlrobust.metrics import (
     ConfusionMatrix,
     confusion,
     pr_curve,
-    read_curve_csv,
     roc_curve,
     scalar_metrics,
     write_curve_csv,
@@ -78,12 +78,6 @@ def test_confusion_all_positive_predictions():
     assert cm.tp == 3
 
 
-def test_confusion_threshold_above_every_score():
-    cm = confusion([1, -1], [0.3, 0.2], threshold=0.5)
-    assert cm.tp == 0 and cm.fp == 0
-    assert cm.fn == 1 and cm.tn == 1
-
-
 def test_confusion_length_mismatch_and_empty():
     with pytest.raises(ValueError):
         confusion([1, -1], [0.5])
@@ -97,8 +91,13 @@ def test_confusion_partitions_sample_count(seed, n):
     rng = np.random.default_rng(seed)
     labels = rng.choice([-1, 1], size=n)
     scores = rng.uniform(-1, 1, size=n)
-    cm = confusion(labels, scores, threshold=float(rng.uniform(-1, 1)))
+    cm = confusion(labels, scores)
     assert cm.total == n
+    predicted = [1 if s >= 0 else -1 for s in scores]
+    pairs = list(zip(predicted, labels))
+    assert (cm.tp, cm.fp, cm.fn, cm.tn) == tuple(
+        pairs.count(pair) for pair in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    )
 
 
 # --- scalar metrics -------------------------------------------------------------

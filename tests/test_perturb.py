@@ -42,11 +42,6 @@ def test_noise_statistics_match_scaled_normal():
     assert -0.002 <= noise.mean() <= 0.002
 
 
-def test_negative_epsilon_rejected():
-    with pytest.raises(ValueError):
-        add_perturbation(np.zeros((2, 2)), -0.5, np.random.default_rng(0))
-
-
 def test_linearity_in_epsilon_before_clipping():
     data = np.random.default_rng(2).uniform(size=(20, 8))
     eps1, eps2 = 0.05, 0.2
