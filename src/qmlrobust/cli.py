@@ -111,31 +111,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-json", required=True)
     p.add_argument("--output-dir", required=True)
 
+    for sub in commands.choices.values():  # errors past parsing print the subcommand's usage
+        sub.set_defaults(usage_error=sub.error)
     return parser
 
 
 def parse_cli(argv: list[str]) -> tuple[str, ExperimentConfig, argparse.Namespace]:
     """Resolve argv (+ optional config file) into a validated ExperimentConfig."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     overrides = {}
     if getattr(args, "config", None):
         try:
             overrides = read_config_file(args.config)
         except (OSError, ValueError) as exc:
-            parser.error(str(exc))
+            args.usage_error(str(exc))
     for name in CONFIG_CODECS:
         if getattr(args, name, None) is not None:
             overrides[name] = getattr(args, name)  # flags win over the file
 
     cfg = replace(ExperimentConfig(data_path=""), **overrides)
     if args.command in ("run", "preprocess") and not cfg.data_path:
-        parser.error(f"--data-path is required for {args.command}")
+        args.usage_error(f"--data-path is required for {args.command}")
     try:
         cfg.validate()
     except ValueError as exc:
-        parser.error(str(exc))
+        args.usage_error(str(exc))
     return args.command, cfg, args
 
 

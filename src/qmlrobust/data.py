@@ -4,7 +4,9 @@ Ingest is columnar: `load_csv` reads the file in chunks of `CHUNK_ROWS`
 records, transposes each chunk and parses every column with one numpy
 call, so no Python code runs per cell on the numeric path. A column that
 does not parse as numbers keeps its stripped text. The per-cell scan that
-names the offending line runs only after a check has failed.
+names the offending line runs only after a check has failed. The reduced
+CSV that `preprocess`, `attack` and `evaluate` exchange is read through
+`load_csv` too, and its checks name lines with `line_of`.
 
 The split layout follows the experiment protocol: 20% of the samples are
 held out for the fine-tune/attack set, and the remaining 80% is divided
@@ -17,7 +19,7 @@ import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -108,29 +110,27 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
         header = [name.strip() for name in header]
         width = len(header)
         pieces: list[list] = [[] for _ in header]
-        for first in count(0, CHUNK_ROWS):
-            chunk = list(islice(reader, CHUNK_ROWS))
-            if not chunk:
-                break
+        n_rows = 0
+        while chunk := list(islice(reader, CHUNK_ROWS)):
             ragged = None
             if not set(map(len, chunk)) <= {0, width}:
                 ragged = next(i for i, rec in enumerate(chunk) if rec and len(rec) != width)
-                chunk = chunk[: ragged + 1]
             records = list(filter(None, chunk[:ragged]))
             if records:
                 parsed = [_parse_column(cells) for cells in zip(*records)]
                 if any(isinstance(col, list) and "" in col for col in parsed):
                     # an earlier line may hold the empty cell, so it wins over a later ragged row
-                    at = next(i for i, rec in enumerate(chunk) if not all(map(str.strip, rec)))
+                    at = next(i for i, rec in enumerate(records) if not all(map(str.strip, rec)))
                     raise ValueError(
-                        f"{path}:{_line_of(path, first + at)}: empty cell "
+                        f"{path}:{line_of(path, n_rows + at)}: empty cell "
                         "(missing values are not supported)"
                     )
                 for piece, col in zip(pieces, parsed):
                     piece.append(col)
+                n_rows += len(records)
             if ragged is not None:
                 raise ValueError(
-                    f"{path}:{_line_of(path, first + ragged)}: expected {width} cells, "
+                    f"{path}:{line_of(path, n_rows)}: expected {width} cells, "
                     f"got {len(chunk[ragged])}"
                 )
     if not any(pieces):
@@ -142,15 +142,17 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
     )
 
 
-def _line_of(path: Path, record: int) -> int:
-    """Line on which record `record` (0 = first after the header) ends.
+def line_of(path: str | Path, row: int) -> int:
+    """Line on which sample `row` of `load_csv(path, ...)` ends (0 = first sample).
 
-    Re-reads the file up to that record; only error paths call it, so the
-    chunked read keeps no line number per record.
+    Re-reads the file up to that record, skipping blank lines as `load_csv`
+    does; only error paths call it, so the chunked read keeps no line
+    number per record.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for _ in islice(reader, record + 2):
+        next(reader, None)
+        for _ in islice(filter(None, reader), row + 1):
             pass
         return reader.line_num
 

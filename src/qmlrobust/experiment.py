@@ -13,11 +13,9 @@ data split or the attack noise.
 """
 from __future__ import annotations
 
-import csv
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +25,7 @@ from .data import (
     DatasetSplits,
     FeatureMatrix,
     encode_and_normalize,
+    line_of,
     load_csv,
     shuffle_and_split,
     subset,
@@ -455,62 +454,35 @@ def write_reduced_csv(
 
 
 def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
-    """Parse a `write_reduced_csv` file column by column, as `load_csv` does.
+    """Parse a `write_reduced_csv` file with `load_csv`, then check its columns.
 
-    When a chunk fails a check, the file is read again record by record,
-    so the error names the first bad line.
+    Every feature must be a number, every label -1 or 1 and every split
+    one of `SPLIT_NAMES`; an error names the line of the first bad record.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[-2:] != ["label", "split"]:
-            raise ValueError(f"{path}:1: expected trailing 'label,split' columns")
-        k = len(header) - 2
-        values, labels, splits = [], [], []
-        while chunk := list(islice(reader, CHUNK_ROWS)):
-            try:
-                if set(map(len, chunk)) != {k + 2}:
-                    raise ValueError("ragged")
-                *features, label, split = zip(*chunk)
-                if not set(label) <= {"-1", "1"} or not set(split) <= set(SPLIT_NAMES):
-                    raise ValueError("label or split")
-                values.append(np.array(features, dtype=float).reshape(k, len(chunk)).T)
-            except ValueError:
-                _raise_first_bad_record(path, k)
-                raise
-            labels.append(np.array(label) == "1")
-            splits += split
-    if not values:
-        raise ValueError(f"{path}: no rows (header only)")
+    raw = load_csv(path, "label")
+    if len(raw.column_names) < 3 or raw.column_names[-2:] != ["label", "split"]:
+        raise ValueError(f"{path}:1: expected trailing 'label,split' columns after the features")
+    *features, labels, splits = raw.columns
+    bad = []  # (row, problem) of the first failure of each check, in check order
+    for column in features:
+        if not isinstance(column, np.ndarray):
+            at = next(i for i, cell in enumerate(column) if isinstance(cell, str))
+            bad.append((at, f"could not convert string to float: {column[at]!r}"))
+    for column, allowed, rule in (
+        (labels, (-1.0, 1.0), "label must be -1 or 1"),
+        (splits, SPLIT_NAMES, f"split must be one of {', '.join(SPLIT_NAMES)}"),
+    ):
+        cells = column.tolist() if isinstance(column, np.ndarray) else column
+        at = next((i for i, cell in enumerate(cells) if cell not in allowed), None)
+        if at is not None:
+            bad.append((at, f"{rule}, found {cells[at]!r}"))
+    if bad:
+        at, problem = min(bad, key=lambda b: b[0])
+        raise ValueError(f"{path}:{line_of(path, at)}: {problem}")
     return (
-        FeatureMatrix(
-            values=np.ascontiguousarray(np.concatenate(values)),
-            labels=np.where(np.concatenate(labels), 1, -1),
-        ),
+        FeatureMatrix(values=np.column_stack(features), labels=np.where(labels > 0, 1, -1)),
         np.asarray(splits),
     )
-
-
-def _raise_first_bad_record(path: str | Path, k: int) -> None:
-    """Check a reduced CSV one record at a time; raise naming the first bad line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for record in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(record) != k + 2:
-                raise ValueError(f"{where}: expected {k + 2} fields, found {len(record)}")
-            try:
-                list(map(float, record[:k]))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if record[k] not in ("-1", "1"):
-                raise ValueError(f"{where}: label must be -1 or 1, found {record[k]!r}")
-            if record[k + 1] not in SPLIT_NAMES:
-                raise ValueError(
-                    f"{where}: split must be one of {', '.join(SPLIT_NAMES)}, "
-                    f"found {record[k + 1]!r}"
-                )
 
 
 def split_name_column(splits: DatasetSplits, n: int) -> np.ndarray:

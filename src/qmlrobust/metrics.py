@@ -95,12 +95,12 @@ def _sweep(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return tp, fp
 
 
-def _dedupe(points: list[tuple[float, float]]) -> np.ndarray:
-    kept = [points[0]]
-    for p in points[1:]:
-        if p != kept[-1]:
-            kept.append(p)
-    return np.asarray(kept)
+def _dedupe(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(m, 2) points (x, y) without repeats of the point before."""
+    points = np.column_stack([x, y])
+    keep = np.ones(len(points), dtype=bool)
+    keep[1:] = np.any(points[1:] != points[:-1], axis=1)
+    return points[keep]
 
 
 def _trapezoid(points: np.ndarray) -> float:
@@ -116,7 +116,7 @@ def roc_curve(labels, scores) -> Curve:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC undefined: need at least one positive and one negative label")
     tp, fp = _sweep(labels, scores)
-    points = _dedupe(list(zip(fp / n_neg, tp / n_pos)))
+    points = _dedupe(fp / n_neg, tp / n_pos)
     return Curve(points=points, auc=_trapezoid(points), kind="roc")
 
 
@@ -132,7 +132,7 @@ def pr_curve(labels, scores) -> Curve:
     np.divide(tp, predicted, out=precision, where=predicted > 0)
     precision[0] = precision[1]  # recall-0 anchor: precision at the highest threshold
     recall = tp / n_pos
-    points = _dedupe(list(zip(recall, precision)))
+    points = _dedupe(recall, precision)
     return Curve(points=points, auc=_trapezoid(points), kind="pr")
 
 

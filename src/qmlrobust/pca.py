@@ -23,10 +23,6 @@ class PcaModel:
     proj_max: np.ndarray
 
     @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.components.shape[1]
 

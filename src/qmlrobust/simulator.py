@@ -57,11 +57,6 @@ class QuantumCircuit:
         for g in self.gates:
             _check_gate(g, self.n_qubits)
 
-    def __add__(self, other: "QuantumCircuit") -> "QuantumCircuit":
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("cannot concatenate circuits of different width")
-        return QuantumCircuit(self.n_qubits, list(self.gates) + list(other.gates))
-
 
 @dataclass
 class StateVector:

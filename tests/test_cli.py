@@ -99,6 +99,26 @@ def test_config_file_bad_key_or_value_is_usage_error(tmp_path, capsys, line, mes
     assert f"{config}:3: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--config", "CONFIG"], "unknown key 'epoch'"),
+        (["preprocess", "--data-path", "d.csv", "--pca-components", "0"], "pca-components"),
+    ],
+    ids=["config-file", "validate"],
+)
+def test_late_usage_error_prints_the_subcommand_usage(tmp_path, capsys, argv, message):
+    config = tmp_path / "exp.cfg"
+    config.write_text("data_path = d.csv\nepoch = 1\n")
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        parse_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qmlrobust {argv[0]} [-h]")
+    assert f"qmlrobust {argv[0]}: error: " in err and message in err
+
+
 def test_config_file_accepts_other_subcommands_fields(tmp_path):
     config = tmp_path / "exp.cfg"
     config.write_text("data_path = d.csv\nepochs = 3\nseed = 4\n")

@@ -307,7 +307,9 @@ def test_reduced_csv_matches_csv_writer(tmp_path_factory, seed, chunk_rows):
     data = FeatureMatrix(values=values, labels=rng.choice([-1, 1], size=n))
     names = np.asarray(rng.choice(["train", "val", "test", "finetune"], size=n), dtype=object)
     folder = tmp_path_factory.mktemp("reduced")
-    with mock.patch("qmlrobust.experiment.CHUNK_ROWS", chunk_rows):
+    with mock.patch("qmlrobust.experiment.CHUNK_ROWS", chunk_rows), mock.patch.object(
+        data_module, "CHUNK_ROWS", chunk_rows
+    ):
         write_reduced_csv(data, names, folder / "fast.csv")
         again, names_again = read_reduced_csv(folder / "fast.csv")
     with open(folder / "ref.csv", "w", newline="", encoding="utf-8") as fh:
@@ -325,7 +327,7 @@ def test_reduced_csv_matches_csv_writer(tmp_path_factory, seed, chunk_rows):
 def test_reduced_csv_header_only_names_the_path(tmp_path):
     path = tmp_path / "reduced.csv"
     path.write_text("pc1,pc2,label,split\n")
-    with pytest.raises(ValueError, match=r"reduced.csv: no rows \(header only\)"):
+    with pytest.raises(ValueError, match=r"reduced.csv: no samples \(header only\)"):
         read_reduced_csv(path)
 
 
@@ -333,6 +335,32 @@ def test_reduced_csv_bad_row_in_a_later_chunk_names_its_line(tmp_path):
     path = tmp_path / "reduced.csv"
     body = "".join("0.1,0.2,-1,test\n" for _ in range(5))
     path.write_text("pc1,pc2,label,split\n" + body + "0.1,nope,1,test\n")
-    with mock.patch("qmlrobust.experiment.CHUNK_ROWS", 2):
+    with mock.patch.object(data_module, "CHUNK_ROWS", 2):
         with pytest.raises(ValueError, match=r"reduced.csv:7: could not convert"):
+            read_reduced_csv(path)
+
+
+def test_reduced_csv_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "reduced.csv"
+    path.write_text("pc1,label,split\n0.1,-1,test\n\n0.2,1,val\n\n0.3,2,test\n")
+    with pytest.raises(ValueError, match=r"reduced.csv:6: label must be -1 or 1, found 2.0"):
+        read_reduced_csv(path)
+
+
+@pytest.mark.parametrize(
+    "line4, line5, problem",
+    [
+        ("0.1,0.2,0,test", "0.1,0.2,1,holdout", "label must be -1 or 1, found 0.0"),
+        ("0.1,0.2,1,holdout", "0.1,0.2,0,test", "split must be one of .*, found 'holdout'"),
+        ("0.1,0.2,1,holdout", "0.1,x,1,test", "split must be one of .*, found 'holdout'"),
+        ("0.1,x,1,test", "0.1,0.2,1,holdout", "could not convert string to float: 'x'"),
+    ],
+    ids=["label-then-split", "split-then-label", "split-then-feature", "feature-then-split"],
+)
+def test_reduced_csv_names_the_first_bad_record_across_columns(tmp_path, line4, line5, problem):
+    path = tmp_path / "reduced.csv"
+    body = "0.1,0.2,-1,test\n0.3,0.4,1,val\n"
+    path.write_text(f"pc1,pc2,label,split\n{body}{line4}\n{line5}\n")
+    with mock.patch.object(data_module, "CHUNK_ROWS", 2):
+        with pytest.raises(ValueError, match=f"reduced.csv:4: {problem}"):
             read_reduced_csv(path)

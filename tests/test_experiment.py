@@ -256,10 +256,10 @@ def test_reduced_csv_round_trip_exact(tmp_path):
 @pytest.mark.parametrize(
     "row, problem",
     [
-        ("0.5,1,train", "expected 4 fields, found 3"),
-        ("0.5,0.25,1,train,extra", "expected 4 fields, found 5"),
+        ("0.5,1,train", "expected 4 cells, got 3"),
+        ("0.5,0.25,1,train,extra", "expected 4 cells, got 5"),
         ("0.5,oops,1,train", "could not convert"),
-        ("0.5,0.25,0,train", "label must be -1 or 1, found '0'"),
+        ("0.5,0.25,0,train", "label must be -1 or 1, found 0.0"),
         ("0.5,0.25,1,holdout", "split must be one of train, val, test, finetune, found 'holdout'"),
     ],
 )
@@ -273,6 +273,9 @@ def test_reduced_csv_bad_row_names_path_and_line(tmp_path, row, problem):
 def test_reduced_csv_missing_header_columns(tmp_path):
     path = tmp_path / "reduced.csv"
     path.write_text("pc1,pc2,label\n0.1,0.2,1\n")
+    with pytest.raises(ValueError, match="reduced.csv:1: expected trailing 'label,split'"):
+        read_reduced_csv(path)
+    path.write_text("label,split\n1,test\n")
     with pytest.raises(ValueError, match="reduced.csv:1: expected trailing 'label,split'"):
         read_reduced_csv(path)
 

@@ -51,6 +51,31 @@ def exhaustive_pr_auc(labels, scores):
     return auc
 
 
+def exhaustive_points(labels, scores, kind):
+    """Curve points by direct counting at every threshold, each kept unless it
+    repeats the point kept before it (one tuple comparison per point)."""
+    labels = list(labels)
+    scores = list(scores)
+    n_pos = sum(1 for l in labels if l > 0)
+    n_neg = len(labels) - n_pos
+    thresholds = [float("inf")] + sorted(set(scores), reverse=True) + [float("-inf")]
+    points = []
+    for t in thresholds:
+        tp = sum(1 for l, s in zip(labels, scores) if s >= t and l > 0)
+        fp = sum(1 for l, s in zip(labels, scores) if s >= t and l < 0)
+        if kind == "roc":
+            points.append((fp / n_neg, tp / n_pos))
+        else:
+            points.append((tp / n_pos, tp / (tp + fp) if tp + fp > 0 else None))
+    if kind == "pr":
+        points[0] = (points[0][0], points[1][1])  # recall-0 anchor
+    kept = [points[0]]
+    for point in points[1:]:
+        if point != kept[-1]:
+            kept.append(point)
+    return np.asarray(kept, dtype=float)
+
+
 def random_scored(rng, n, with_ties=True):
     labels = rng.choice([-1, 1], size=n)
     if not np.any(labels > 0):
@@ -229,6 +254,21 @@ def test_pr_auc_matches_oracle_random():
     for _ in range(60):
         labels, scores = random_scored(rng, int(rng.integers(2, 13)))
         assert abs(pr_curve(labels, scores).auc - exhaustive_pr_auc(labels, scores)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=60),
+    levels=st.lists(st.floats(-1, 1), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_curve_points_match_exhaustive_sweep_under_heavy_ties(labels, levels, data):
+    labels[:2] = [-1, 1]  # both classes present
+    n = len(labels)
+    scores = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    for kind, curve_fn in (("roc", roc_curve), ("pr", pr_curve)):
+        got = curve_fn(np.asarray(labels), np.asarray(scores)).points
+        assert got.tobytes() == exhaustive_points(labels, scores, kind).tobytes()
 
 
 # --- serialization ----------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_composition_is_exact():
     rng = np.random.default_rng(5)
     c1 = random_circuit(rng, 3, 12)
     c2 = random_circuit(rng, 3, 12)
-    whole = run_circuit(c1 + c2)
+    whole = run_circuit(QuantumCircuit(3, c1.gates + c2.gates))
     staged = run_circuit(c2, run_circuit(c1))
     np.testing.assert_array_equal(whole.amplitudes, staged.amplitudes)
 
