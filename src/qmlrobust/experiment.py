@@ -457,7 +457,9 @@ def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
     """Parse a `write_reduced_csv` file with `load_csv`, then check its columns.
 
     Every feature must be a number, every label -1 or 1 and every split
-    one of `SPLIT_NAMES`; an error names the line of the first bad record.
+    one of `SPLIT_NAMES`; an error names the line of the first record that
+    breaks one of these. `load_csv` refuses a ragged row or an empty cell
+    where it meets it, ahead of these checks and of any earlier bad value.
     """
     raw = load_csv(path, "label")
     if len(raw.column_names) < 3 or raw.column_names[-2:] != ["label", "split"]:

@@ -4,31 +4,35 @@ quantum model: hinge loss, full-batch Adam, tanh output score in (-1, 1).
 `train_mlp` has the call shape of `qnn.train_qnn`: it starts from a model
 built by `init_mlp` and takes a learning rate, so the pipeline runs both
 heads through one loop.
+
+**Layout.** As in `QnnModel`, the parameters are one flat `params` vector,
+in checkpoint order: per layer, the weights W (out, in) row-major, then the
+biases b (out). `_layers` views a parameter or gradient vector as (W, b)s.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import FeatureMatrix
-from .optim import AdamState, EpochRecord, adam_step, epoch_record
+from .optim import AdamState, EpochRecord, adam_step, epoch_record, load_checkpoint, save_checkpoint
 
 
 @dataclass
 class MlpModel:
     layer_sizes: list[int]  # e.g. [k, 32, 16, 1]; last width must be 1
-    weights: list[np.ndarray]  # weights[l] has shape (out, in)
-    biases: list[np.ndarray]
+    params: np.ndarray  # flat, in the layout of the module docstring
 
     def __post_init__(self):
-        if len(self.layer_sizes) < 2 or self.layer_sizes[-1] != 1:
-            raise ValueError("layer_sizes needs >= 2 entries and a final width of 1")
-        expected = list(zip(self.layer_sizes[1:], self.layer_sizes[:-1]))
-        got = [w.shape for w in self.weights]
-        if got != expected or [b.shape for b in self.biases] != [(o,) for o, _ in expected]:
-            raise ValueError(f"weight shapes {got} do not chain {self.layer_sizes}")
+        sizes = self.layer_sizes
+        if len(sizes) < 2 or sizes[-1] != 1 or min(sizes) < 1:
+            raise ValueError(f"layer sizes {sizes} must hold >= 2 positive widths and end in 1")
+        self.params = np.asarray(self.params, dtype=float)
+        if self.params.shape != (self.n_params,):
+            found = " x ".join(map(str, self.params.shape))
+            raise ValueError(f"expected {self.n_params} values for layer sizes {sizes}, found {found}")
 
     @property
     def n_inputs(self) -> int:
@@ -36,32 +40,38 @@ class MlpModel:
 
     @property
     def n_params(self) -> int:
-        return sum(W.size for W in self.weights) + sum(b.size for b in self.biases)
+        return sum(o * i + o for i, o in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+
+
+def _layers(sizes: list[int], vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views of each layer of a vector in the `params` layout."""
+    views, at = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        W = vec[at : at + fan_out * fan_in].reshape(fan_out, fan_in)
+        at += fan_out * fan_in
+        views.append((W, vec[at : at + fan_out]))
+        at += fan_out
+    return views
 
 
 def init_mlp(layer_sizes: list[int], seed: int) -> MlpModel:
-    """Weights and biases uniform on [-1/sqrt(fan_in), 1/sqrt(fan_in)] from the seed."""
+    """Each layer's weights, then biases, uniform on +-1/sqrt(fan_in) from the seed."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return MlpModel(layer_sizes=list(layer_sizes), weights=weights, biases=biases)
+    draws = [
+        rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=fan_out * (fan_in + 1))
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:])
+    ]
+    return MlpModel(layer_sizes=list(layer_sizes), params=np.concatenate(draws))
 
 
 def _forward_cached(model: MlpModel, X: np.ndarray):
     """Forward pass keeping pre-activations for backprop. Returns (scores, hs, zs)."""
-    hs = [X]
-    zs = []
-    h = X
-    last = len(model.weights) - 1
-    for l, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ W.T + b
-        zs.append(z)
-        h = np.tanh(z) if l == last else np.maximum(z, 0.0)
-        hs.append(h)
-    return h[:, 0], hs, zs
+    hs, zs = [X], []
+    for W, b in _layers(model.layer_sizes, model.params):
+        zs.append(hs[-1] @ W.T + b)
+        hs.append(np.maximum(zs[-1], 0.0))
+    hs[-1] = np.tanh(zs[-1])  # the output unit is tanh, not a rectifier
+    return hs[-1][:, 0], hs, zs
 
 
 def mlp_scores(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -72,10 +82,8 @@ def mlp_scores(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return _forward_cached(model, X)[0]
 
 
-def mlp_gradients(
-    model: MlpModel, X: np.ndarray, y: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact backprop of the mean hinge loss over the batch.
+def mlp_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact backprop of the mean hinge loss over the batch, in the `params` layout.
 
     Subgradients at the kinks are 0: both the hinge at y*score = 1 and the
     rectifier at a pre-activation of exactly 0.
@@ -89,40 +97,20 @@ def mlp_gradients(
 
 def _backprop(
     model: MlpModel, y: np.ndarray, scores: np.ndarray, hs: list[np.ndarray], zs: list[np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> np.ndarray:
     """Backward pass of `mlp_gradients` from a `_forward_cached` result."""
     # d(mean hinge)/d(score), then through tanh
     dscore = np.where(y * scores < 1.0, -y.astype(float), 0.0) / scores.shape[0]
     delta = (dscore * (1.0 - scores**2))[:, None]
 
-    grads_w = [np.empty_like(W) for W in model.weights]
-    grads_b = [np.empty_like(b) for b in model.biases]
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads_w[l] = delta.T @ hs[l]
-        grads_b[l] = delta.sum(axis=0)
+    grads = np.empty(model.n_params)
+    weights = _layers(model.layer_sizes, model.params)
+    for l, (gW, gb) in reversed(list(enumerate(_layers(model.layer_sizes, grads)))):
+        np.matmul(delta.T, hs[l], out=gW)
+        delta.sum(axis=0, out=gb)
         if l > 0:
-            delta = (delta @ model.weights[l]) * (zs[l - 1] > 0.0)
-    return grads_w, grads_b
-
-
-def _flatten(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _pack(model: MlpModel) -> np.ndarray:
-    return _flatten(model.weights + model.biases)
-
-
-def _unpack(vec: np.ndarray, model: MlpModel) -> MlpModel:
-    weights, biases = [], []
-    pos = 0
-    for W in model.weights:
-        weights.append(vec[pos : pos + W.size].reshape(W.shape))
-        pos += W.size
-    for b in model.biases:
-        biases.append(vec[pos : pos + b.size].copy())
-        pos += b.size
-    return MlpModel(layer_sizes=list(model.layer_sizes), weights=weights, biases=biases)
+            delta = (delta @ weights[l][0]) * (zs[l - 1] > 0.0)
+    return grads
 
 
 def train_mlp(
@@ -146,49 +134,23 @@ def train_mlp(
     # the post-step forward pass gives this epoch's train loss and the next gradient
     forward = _forward_cached(model, train.values)
     for _ in range(epochs):
-        gw, gb = _backprop(model, train.labels, *forward)
+        grads = _backprop(model, train.labels, *forward)
         del forward  # free these activations before the next pass allocates its own
-        adam, vec = adam_step(adam, _pack(model), _flatten(gw + gb))
-        model = _unpack(vec, model)
+        adam, new_params = adam_step(adam, model.params, grads)
+        model = replace(model, params=new_params)
         forward = _forward_cached(model, train.values)
         history.append(epoch_record(train, forward[0], val, mlp_scores(model, val.values)))
     return model, history
 
 
 def save_mlp(model: MlpModel, path: str | Path) -> None:
-    """Text checkpoint: "mlp <layer sizes>" header, then row-major weights and biases per layer."""
-    lines = ["mlp " + " ".join(str(s) for s in model.layer_sizes)]
-    for W, b in zip(model.weights, model.biases):
-        lines += [format(v, ".17e") for v in W.ravel()]
-        lines += [format(v, ".17e") for v in b]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Text checkpoint: "mlp <layer sizes>" header, then `params`."""
+    save_checkpoint(path, "mlp " + " ".join(map(str, model.layer_sizes)), model.params)
 
 
 def load_mlp(path: str | Path) -> MlpModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    head = lines[0].split() if lines else []
-    if (
-        len(head) < 3
-        or head[0] != "mlp"
-        or not all(v.isdigit() for v in head[1:])
-        or head[-1] != "1"
-    ):
-        raise ValueError(f"{path}: not an mlp checkpoint (header {' '.join(head)!r})")
-    sizes = [int(v) for v in head[1:]]
-    shapes = list(zip(sizes[1:], sizes[:-1]))
-    expected = sum(fan_out * fan_in + fan_out for fan_out, fan_in in shapes)
-    if len(lines) - 1 != expected:
-        raise ValueError(
-            f"{path}: expected {expected} values for layer sizes {sizes}, found {len(lines) - 1}"
-        )
+    sizes, params = load_checkpoint(path, "mlp")
     try:
-        values = np.asarray([float(v) for v in lines[1:]])
+        return MlpModel(layer_sizes=sizes, params=params)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    weights, biases, at = [], [], 0
-    for fan_out, fan_in in shapes:
-        weights.append(values[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
-        at += fan_out * fan_in
-        biases.append(values[at : at + fan_out])
-        at += fan_out
-    return MlpModel(layer_sizes=sizes, weights=weights, biases=biases)

@@ -1,8 +1,12 @@
-"""Hinge loss, the per-epoch training record and Adam with bias correction,
-shared by both classifier heads."""
+"""Hinge loss, the per-epoch training record, Adam with bias correction and
+the text checkpoint format, shared by both classifier heads. A checkpoint is
+a header line, the model kind and its integer sizes ("mlp 4 32 16 1"), then
+the model's flat `params`, one `.17e` value per line, so it reloads exactly.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -69,3 +73,24 @@ def adam_step(
     v_hat = v / (1.0 - BETA2**t)
     new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS_STABILIZER)
     return replace(state, step=t, m=m, v=v), new_params
+
+
+def save_checkpoint(path: str | Path, header: str, params: np.ndarray) -> None:
+    """Write the `header` line, then one parameter per line."""
+    lines = [header, *(format(v, ".17e") for v in params)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def load_checkpoint(path: str | Path, kind: str) -> tuple[list[int], np.ndarray]:
+    """(header sizes, params) of a `save_checkpoint` file whose header starts with `kind`.
+
+    Errors name the path; the caller's model checks the sizes and the count.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    head = lines[0].split() if lines else []
+    if head[:1] != [kind] or not all(v.isdigit() for v in head[1:]):
+        raise ValueError(f"{path}: expected a '{kind} <sizes>' header, found {' '.join(head)!r}")
+    try:
+        return [int(v) for v in head[1:]], np.asarray([float(v) for v in lines[1:]])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

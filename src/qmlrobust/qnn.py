@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureMatrix
-from .optim import AdamState, EpochRecord, adam_step, epoch_record
+from .optim import AdamState, EpochRecord, adam_step, epoch_record, load_checkpoint, save_checkpoint
 from .simulator import (
     QuantumCircuit,
     apply_cnot,
@@ -91,10 +91,11 @@ class QnnModel:
             raise ValueError(f"readout qubit {self.readout_qubit} out of range")
         if self.params is not None:
             self.params = np.asarray(self.params, dtype=float)
-            if self.params.shape != (self.n_layers * self.n_qubits,):
+            if self.params.shape != (self.n_params,):
+                found = " x ".join(map(str, self.params.shape))
                 raise ValueError(
-                    f"expected {self.n_layers * self.n_qubits} parameters, "
-                    f"got {self.params.shape}"
+                    f"expected {self.n_params} parameters for {self.n_qubits} qubits x "
+                    f"{self.n_layers} layers, found {found}"
                 )
 
     @property
@@ -381,28 +382,18 @@ def train_qnn(
 
 
 def save_qnn(model: QnnModel, path: str | Path) -> None:
-    """Text checkpoint: header line, then one parameter per line."""
+    """Text checkpoint: "qnn <qubits> <layers> <readout qubit>" header, then `params`."""
     if model.params is None:
         raise ValueError("cannot checkpoint an uninitialized model")
-    lines = [f"qnn {model.n_qubits} {model.n_layers} {model.readout_qubit}"]
-    lines += [format(p, ".17e") for p in model.params]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = f"qnn {model.n_qubits} {model.n_layers} {model.readout_qubit}"
+    save_checkpoint(path, header, model.params)
 
 
 def load_qnn(path: str | Path) -> QnnModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    head = lines[0].split() if lines else []
-    if len(head) != 4 or head[0] != "qnn" or not all(v.isdigit() for v in head[1:]):
-        raise ValueError(f"{path}: not a qnn checkpoint (header {' '.join(head)!r})")
-    n_qubits, n_layers, readout = (int(v) for v in head[1:])
-    expected = n_qubits * n_layers
-    if len(lines) - 1 != expected:
-        raise ValueError(
-            f"{path}: expected {expected} parameters for {n_qubits} qubits x {n_layers} "
-            f"layers, found {len(lines) - 1}"
-        )
+    sizes, params = load_checkpoint(path, "qnn")
+    if len(sizes) != 3:
+        raise ValueError(f"{path}: expected 3 sizes (qubits, layers, readout qubit), found {sizes}")
     try:
-        params = np.asarray([float(v) for v in lines[1:]])
-        return QnnModel(n_qubits=n_qubits, n_layers=n_layers, params=params, readout_qubit=readout)
+        return QnnModel(n_qubits=sizes[0], n_layers=sizes[1], params=params, readout_qubit=sizes[2])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -364,3 +364,11 @@ def test_reduced_csv_names_the_first_bad_record_across_columns(tmp_path, line4, 
     with mock.patch.object(data_module, "CHUNK_ROWS", 2):
         with pytest.raises(ValueError, match=f"reduced.csv:4: {problem}"):
             read_reduced_csv(path)
+
+
+def test_reduced_csv_names_a_ragged_row_ahead_of_an_earlier_bad_value(tmp_path):
+    # the parser refuses the ragged line 3 before the value checks see line 2
+    path = tmp_path / "reduced.csv"
+    path.write_text("pc1,label,split\n0.1,0,test\n0.2,1\n")
+    with pytest.raises(ValueError, match=r"reduced.csv:3: expected 3 cells, got 2"):
+        read_reduced_csv(path)

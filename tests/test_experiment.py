@@ -21,7 +21,7 @@ from qmlrobust.experiment import (
     write_reduced_csv,
 )
 from qmlrobust.metrics import Curve, confusion, scalar_metrics
-from qmlrobust.mlp import MlpModel, _pack, init_mlp, mlp_scores, train_mlp
+from qmlrobust.mlp import init_mlp, mlp_scores, train_mlp
 from qmlrobust.optim import EpochRecord, epoch_record
 from qmlrobust.perturb import PerturbationConfig, build_adversarial_set
 from qmlrobust.qnn import QnnModel, init_params, qnn_scores, train_qnn
@@ -104,10 +104,6 @@ def test_finetune_mode_adds_histories(synth_csv, tmp_path):
     assert set(report.histories) == {"nn", "qnn", "nn_finetune", "qnn_finetune"}
 
 
-def parameters(model: MlpModel | QnnModel) -> np.ndarray:
-    return model.params if isinstance(model, QnnModel) else _pack(model)
-
-
 def test_finetune_mode_scores_the_finetuned_models(synth_csv, tmp_path):
     cfg = quick_config(synth_csv, tmp_path / "out", epochs=5, finetune_mode="finetune")
     art = run_pipeline(cfg)
@@ -121,7 +117,7 @@ def test_finetune_mode_scores_the_finetuned_models(synth_csv, tmp_path):
         assert art.report.after[m] == scalar_metrics(cm)
         # the clean evaluation comes before finetuning
         assert art.report.before[m] == plain.report.before[m]
-        assert not np.array_equal(parameters(art.models[m]), parameters(plain.models[m]))
+        assert not np.array_equal(art.models[m].params, plain.models[m].params)
 
 
 def test_same_config_same_report(synth_csv, tmp_path):
@@ -306,9 +302,9 @@ def test_one_epoch_steps_by_the_learning_rate_and_keeps_the_callers_model(head):
     train = FeatureMatrix(values=rng.uniform(0, 1, (12, 3)), labels=rng.choice([-1, 1], 12))
     val = FeatureMatrix(values=rng.uniform(0, 1, (5, 3)), labels=rng.choice([-1, 1], 5))
     trained, history = train_fn(model, train, val, 1, learning_rate=0.05)
-    np.testing.assert_array_equal(parameters(model), parameters(before))
+    np.testing.assert_array_equal(model.params, before.params)
     # Adam's first step moves each parameter by about the learning rate, at most
-    step = np.abs(parameters(trained) - parameters(model))
+    step = np.abs(trained.params - model.params)
     assert 0.049 < step.max() <= 0.05
     scores = (score_fn(trained, train.values), score_fn(trained, val.values))
     assert history == [epoch_record(train, scores[0], val, scores[1])]

@@ -1,13 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qmlrobust.data import FeatureMatrix
 from qmlrobust.mlp import (
     MlpModel,
-    _flatten,
     _forward_cached,
-    _pack,
-    _unpack,
+    _layers,
     init_mlp,
     load_mlp,
     mlp_gradients,
@@ -19,21 +19,19 @@ from qmlrobust.optim import mean_hinge_loss
 
 
 def zero_model(sizes):
-    weights = [np.zeros((o, i)) for i, o in zip(sizes[:-1], sizes[1:])]
-    biases = [np.zeros(o) for o in sizes[1:]]
-    return MlpModel(layer_sizes=list(sizes), weights=weights, biases=biases)
+    n = sum(o * i + o for i, o in zip(sizes[:-1], sizes[1:]))
+    return MlpModel(layer_sizes=list(sizes), params=np.zeros(n))
 
 
 def fd_gradient(model, X, y, step=1e-5):
-    base = _pack(model)
-    grad = np.zeros_like(base)
-    for j in range(base.size):
-        plus = base.copy()
+    grad = np.zeros(model.n_params)
+    for j in range(model.n_params):
+        plus = model.params.copy()
         plus[j] += step
-        minus = base.copy()
+        minus = model.params.copy()
         minus[j] -= step
-        loss_p = mean_hinge_loss(y, mlp_scores(_unpack(plus, model), X))
-        loss_m = mean_hinge_loss(y, mlp_scores(_unpack(minus, model), X))
+        loss_p = mean_hinge_loss(y, mlp_scores(replace(model, params=plus), X))
+        loss_m = mean_hinge_loss(y, mlp_scores(replace(model, params=minus), X))
         grad[j] = (loss_p - loss_m) / (2 * step)
     return grad
 
@@ -61,7 +59,7 @@ def test_zero_network_scores_zero():
 
 
 def test_single_weight_closed_form():
-    model = MlpModel([1, 1], [np.array([[10.0]])], [np.zeros(1)])
+    model = MlpModel([1, 1], np.array([10.0, 0.0]))
     assert abs(mlp_scores(model, [[1.0]])[0] - np.tanh(10.0)) < 1e-15
 
 
@@ -79,10 +77,12 @@ def test_forward_dimension_mismatch():
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        MlpModel([3, 2, 1], [np.zeros((2, 3))], [np.zeros(2)])
-    with pytest.raises(ValueError):
-        MlpModel([3, 2], [np.zeros((2, 3))], [np.zeros(2)])  # final width != 1
+    with pytest.raises(ValueError, match=r"expected 11 values for layer sizes \[3, 2, 1\], found 8"):
+        MlpModel([3, 2, 1], np.zeros(8))
+    with pytest.raises(ValueError, match=r"layer sizes \[3, 2\]"):
+        MlpModel([3, 2], np.zeros(8))  # final width != 1
+    with pytest.raises(ValueError, match=r"expected 3 values for layer sizes \[2, 1\], found 1 x 3"):
+        MlpModel([2, 1], np.zeros((1, 3)))  # the right count in the wrong shape
 
 
 # --- gradients ----------------------------------------------------------------
@@ -90,27 +90,23 @@ def test_shape_validation():
 
 def test_gradients_zero_past_margin():
     # score 0.999... via big weight, all labels match sign -> margin met nowhere? craft exactly:
-    model = MlpModel([1, 1], [np.array([[20.0]])], [np.zeros(1)])
+    model = MlpModel([1, 1], np.array([20.0, 0.0]))
     X = np.ones((4, 1))
     y = np.ones(4, dtype=int)  # y*score = tanh(20) ~ 1 - 4e-18 < 1, still inside margin
-    gw, gb = mlp_gradients(model, X, y)
     # tanh saturates: gradient ~ (1 - s^2) ~ 1.6e-17, effectively flat but not exactly 0
-    assert np.max(np.abs(gw[0])) < 1e-15
+    assert np.max(np.abs(mlp_gradients(model, X, y))) < 1e-15
     # a batch genuinely past the margin: negative label, strongly negative score
     y_neg = -np.ones(4, dtype=int)
-    model_neg = MlpModel([1, 1], [np.array([[-20.0]])], [np.zeros(1)])
-    gw, gb = mlp_gradients(model_neg, X, y_neg)
-    assert np.max(np.abs(gw[0])) < 1e-15
+    model_neg = MlpModel([1, 1], np.array([-20.0, 0.0]))
+    assert np.max(np.abs(mlp_gradients(model_neg, X, y_neg))) < 1e-15
 
 
 def test_backprop_matches_finite_differences():
     rng = np.random.default_rng(314)
     for _ in range(20):
         model, X, y = clean_instance(rng)
-        gw, gb = mlp_gradients(model, X, y)
-        analytic = _flatten(gw + gb)
         numeric = fd_gradient(model, X, y)
-        assert np.max(np.abs(analytic - numeric)) < 1e-6
+        assert np.max(np.abs(mlp_gradients(model, X, y) - numeric)) < 1e-6
 
 
 def test_duplicating_batch_leaves_mean_gradient():
@@ -118,10 +114,11 @@ def test_duplicating_batch_leaves_mean_gradient():
     model = init_mlp([3, 5, 1], seed=2)
     X = rng.uniform(0, 1, size=(6, 3))
     y = rng.choice([-1, 1], size=6)
-    gw1, gb1 = mlp_gradients(model, X, y)
-    gw2, gb2 = mlp_gradients(model, np.vstack([X, X]), np.concatenate([y, y]))
-    for a, b in zip(gw1 + gb1, gw2 + gb2):
-        np.testing.assert_allclose(a, b, atol=1e-15)
+    np.testing.assert_allclose(
+        mlp_gradients(model, X, y),
+        mlp_gradients(model, np.vstack([X, X]), np.concatenate([y, y])),
+        atol=1e-15,
+    )
 
 
 def test_batch_permutation_invariance():
@@ -130,8 +127,8 @@ def test_batch_permutation_invariance():
     X = rng.uniform(0, 1, size=(10, 4))
     y = rng.choice([-1, 1], size=10)
     order = rng.permutation(10)
-    g_a = _flatten([*mlp_gradients(model, X, y)[0], *mlp_gradients(model, X, y)[1]])
-    g_b = _flatten([*mlp_gradients(model, X[order], y[order])[0], *mlp_gradients(model, X[order], y[order])[1]])
+    g_a = mlp_gradients(model, X, y)
+    g_b = mlp_gradients(model, X[order], y[order])
     assert np.max(np.abs(g_a - g_b)) < 1e-12
 
 
@@ -169,15 +166,25 @@ def test_identical_seeds_identical_weights():
     data = FeatureMatrix(values=values, labels=labels)
     m1, h1 = train_mlp(init_mlp([3, 8, 1], seed=13), data, data, epochs=8)
     m2, h2 = train_mlp(init_mlp([3, 8, 1], seed=13), data, data, epochs=8)
-    for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(m1.params, m2.params)
     assert h1 == h2
 
 
 def test_init_respects_fan_in_bound():
-    model = init_mlp([16, 4, 1], seed=0)
-    assert np.max(np.abs(model.weights[0])) <= 1.0 / 4.0
-    assert np.max(np.abs(model.weights[1])) <= 0.5
+    (W1, b1), (W2, b2) = _layers([16, 4, 1], init_mlp([16, 4, 1], seed=0).params)
+    assert max(np.max(np.abs(W1)), np.max(np.abs(b1))) <= 1.0 / 4.0
+    assert max(np.max(np.abs(W2)), np.max(np.abs(b2))) <= 0.5
+
+
+def test_init_draws_each_layer_weights_then_biases():
+    sizes = [3, 5, 2, 1]
+    rng = np.random.default_rng(17)
+    draws = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        draws += [rng.uniform(-bound, bound, (fan_out, fan_in)).ravel()]
+        draws += [rng.uniform(-bound, bound, fan_out)]
+    np.testing.assert_array_equal(init_mlp(sizes, seed=17).params, np.concatenate(draws))
 
 
 # --- checkpoints -----------------------------------------------------------------
@@ -189,8 +196,14 @@ def test_checkpoint_round_trip(tmp_path):
     save_mlp(model, path)
     again = load_mlp(path)
     assert again.layer_sizes == model.layer_sizes
-    for a, b in zip(again.weights + again.biases, model.weights + model.biases):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(again.params, model.params)
+
+
+def test_checkpoint_order_is_weights_row_major_then_biases(tmp_path):
+    path = tmp_path / "mlp.txt"
+    path.write_text("mlp 2 1\n1\n2\n3\n")
+    X = np.array([[0.1, -0.4], [0.7, 0.2]])
+    np.testing.assert_allclose(mlp_scores(load_mlp(path), X), np.tanh(X @ [1.0, 2.0] + 3.0), rtol=1e-15)
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["truncated", "over-long"])
@@ -204,9 +217,18 @@ def test_checkpoint_wrong_value_count_names_path_and_counts(tmp_path, extra):
         load_mlp(path)
 
 
-@pytest.mark.parametrize("head", ["", "mlp 2", "mlp 2 x 1", "mlp 2 3 2", "qnn 2 1 1"])
+BAD_HEADERS = {
+    "": "expected a 'mlp <sizes>' header, found ''",
+    "mlp 2": r"layer sizes \[2\] must hold >= 2 positive widths",
+    "mlp 2 x 1": "expected a 'mlp <sizes>' header, found 'mlp 2 x 1'",
+    "mlp 2 3 2": r"layer sizes \[2, 3, 2\] must hold >= 2 positive widths and end in 1",
+    "qnn 2 1 1": "expected a 'mlp <sizes>' header, found 'qnn 2 1 1'",
+}
+
+
+@pytest.mark.parametrize("head", list(BAD_HEADERS))
 def test_checkpoint_bad_header_rejected(tmp_path, head):
     path = tmp_path / "mlp.txt"
     path.write_text(head + "\n0.5\n")
-    with pytest.raises(ValueError, match=f"{path.name}: not an mlp checkpoint"):
+    with pytest.raises(ValueError, match=f"{path.name}: {BAD_HEADERS[head]}"):
         load_mlp(path)

@@ -89,6 +89,13 @@ def test_single_qubit_has_no_entanglers():
     assert all(g.kind != "CNOT" for g in circuit.gates)
 
 
+def test_parameter_count_and_shape_rejected():
+    with pytest.raises(ValueError, match="expected 6 parameters for 3 qubits x 2 layers, found 5$"):
+        QnnModel(3, 2, np.zeros(5))
+    with pytest.raises(ValueError, match="expected 6 parameters for 3 qubits x 2 layers, found 2 x 3"):
+        QnnModel(3, 2, np.zeros((2, 3)))
+
+
 def test_dimension_mismatch_rejected():
     model = model_with(3, 1)
     with pytest.raises(ValueError):
