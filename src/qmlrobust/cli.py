@@ -169,8 +169,7 @@ def _cmd_attack(cfg: ExperimentConfig, args) -> None:
     rows = np.nonzero(names == args.target_split)[0]
     if rows.size == 0:
         raise ValueError(f"no rows in split {args.target_split!r}")
-    stream = "noise-finetune" if args.target_split == "finetune" else "noise"
-    adv, hit = build_adversarial_set(subset(data, rows), cfg.perturbation(stream))
+    adv, hit = build_adversarial_set(subset(data, rows), cfg.perturbation(args.target_split))
     values = data.values.copy()
     values[rows] = adv.values
     write_reduced_csv(FeatureMatrix(values=values, labels=data.labels), names, args.output)

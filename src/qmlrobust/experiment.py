@@ -109,8 +109,9 @@ class ExperimentConfig:
         """Config as ordered key/value strings (the config.echo file content)."""
         return {name: fmt(getattr(self, name)) for name, (_, fmt) in CONFIG_CODECS.items()}
 
-    def perturbation(self, stream: str) -> PerturbationConfig:
-        """The configured attack, drawn from one noise substream."""
+    def perturbation(self, split: str) -> PerturbationConfig:
+        """The configured attack on one split: noise-finetune on "finetune", else noise."""
+        stream = "noise-finetune" if split == "finetune" else "noise"
         return PerturbationConfig(
             epsilon=self.epsilon, seed=stage_seed(self.seed, stream), fraction=self.perturb_fraction
         )
@@ -147,8 +148,6 @@ class Report:
 class PipelineArtifacts:
     report: Report
     models: dict[str, MlpModel | QnnModel]  # trained (and finetuned), keyed by MODELS
-    reduced: FeatureMatrix
-    splits: DatasetSplits
 
 
 @contextmanager
@@ -213,11 +212,11 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineArtifacts:
             results[m, "clean"] = _evaluate(test.labels, scorers[m](models[m], test.values))
 
     with _stage("attack"):
-        adv_test, _ = build_adversarial_set(test, cfg.perturbation("noise"))
+        adv_test, _ = build_adversarial_set(test, cfg.perturbation("test"))
 
     if cfg.finetune_mode == FINETUNE:
         with _stage("finetune"):
-            adv_ft, _ = build_adversarial_set(finetune, cfg.perturbation("noise-finetune"))
+            adv_ft, _ = build_adversarial_set(finetune, cfg.perturbation("finetune"))
             for m in MODELS:
                 models[m], histories[f"{m}_finetune"] = trainers[m](
                     models[m], adv_ft, val, cfg.epochs, cfg.learning_rate
@@ -244,7 +243,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineArtifacts:
         curves={f"{m}_{s}_{kind}": c for (m, s), r in results.items() for kind, c in r[2].items()},
         histories=histories,
     )
-    return PipelineArtifacts(report=report, models=models, reduced=reduced, splits=splits)
+    return PipelineArtifacts(report=report, models=models)
 
 
 # --- report emission ---------------------------------------------------

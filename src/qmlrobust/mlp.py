@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureMatrix
-from .optim import AdamState, EpochRecord, adam_step, epoch_record, load_checkpoint, save_checkpoint
+from .optim import AdamState, EpochRecord, adam_step, epoch_record, hinge_weights
+from .optim import load_checkpoint, save_checkpoint
 
 
 @dataclass
@@ -100,7 +101,7 @@ def _backprop(
 ) -> np.ndarray:
     """Backward pass of `mlp_gradients` from a `_forward_cached` result."""
     # d(mean hinge)/d(score), then through tanh
-    dscore = np.where(y * scores < 1.0, -y.astype(float), 0.0) / scores.shape[0]
+    dscore = hinge_weights(y, scores)
     delta = (dscore * (1.0 - scores**2))[:, None]
 
     grads = np.empty(model.n_params)

@@ -26,6 +26,11 @@ def mean_hinge_loss(labels: np.ndarray, scores: np.ndarray) -> float:
     return float(np.mean(np.maximum(0.0, 1.0 - labels * np.asarray(scores))))
 
 
+def hinge_weights(labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """d(mean hinge)/d(score): -y/n strictly inside the margin, else 0 (also at the kink)."""
+    return np.where(labels * scores < 1.0, -labels.astype(float), 0.0) / scores.shape[0]
+
+
 @dataclass(frozen=True)
 class EpochRecord:
     """Per-epoch training log entry."""

@@ -18,7 +18,6 @@ from .data import FeatureMatrix
 class PcaModel:
     mean: np.ndarray  # (d,)
     components: np.ndarray  # (k, d), orthonormal rows, descending variance
-    explained_variance: np.ndarray  # (k,), non-increasing
     proj_min: np.ndarray  # (k,) training projection range, drives the [0,1] rescale
     proj_max: np.ndarray
 
@@ -42,17 +41,12 @@ def fit_pca(data: FeatureMatrix, k: int) -> PcaModel:
     if not np.any(centered):
         raise ValueError("all rows identical: zero-variance data has no principal directions")
 
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
     components = _fix_signs(vt[:k].copy())
-    explained = (svals[:k] ** 2) / (n - 1)
 
     proj = centered @ components.T
     return PcaModel(
-        mean=mean,
-        components=components,
-        explained_variance=explained,
-        proj_min=proj.min(axis=0),
-        proj_max=proj.max(axis=0),
+        mean=mean, components=components, proj_min=proj.min(axis=0), proj_max=proj.max(axis=0)
     )
 
 

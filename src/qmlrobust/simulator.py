@@ -9,9 +9,9 @@ Conventions (fixed so that tests can be bit-exact):
 - RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]
 - gate application is pure: a new amplitude array is returned every time
 
-All gate kernels accept an array of shape (..., 2**n) so a batch of states
-can be pushed through a circuit in one numpy call; the public single-state
-API wraps the same kernels.
+Each gate and the Z readout is defined once, on the bits of the amplitude
+index of a (..., 2**n) array; batch axes come from broadcasting, and
+`run_circuit` applies the same kernels to one state.
 """
 from __future__ import annotations
 
@@ -70,17 +70,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
-    @classmethod
-    def from_bits(cls, bits: str) -> "StateVector":
-        """Computational basis state from a bit string, qubit 0 rightmost."""
-        n = len(bits)
-        amps = np.zeros(2**n, dtype=np.complex128)
-        amps[int(bits, 2)] = 1.0
-        return cls(n, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class CircuitMetrics:
@@ -106,69 +95,27 @@ def _check_gate(gate: Gate, n_qubits: int) -> None:
         raise ValueError(f"{gate.kind} needs an angle")
 
 
-def _pad(coeff, extra_axes: int):
-    # broadcast a per-batch coefficient across the remaining qubit axes
-    c = np.asarray(coeff)
-    if c.ndim == 0:
-        return c
-    return c.reshape(c.shape + (1,) * extra_axes)
-
-
-def apply_single_qubit(amps: np.ndarray, qubit: int, m00, m01, m10, m11) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit of a (..., 2**n) amplitude array.
-
-    Matrix entries may be scalars or arrays matching the leading batch
-    shape (used for per-sample encoding angles).
-    """
-    lead = amps.shape[:-1]
-    n = amps.shape[-1].bit_length() - 1
-    work = amps.reshape(lead + (2,) * n)
-    axis = work.ndim - 1 - qubit
-    a0 = np.take(work, 0, axis=axis)
-    a1 = np.take(work, 1, axis=axis)
-    extra = a0.ndim - len(lead)
-    m00, m01, m10, m11 = (_pad(m, extra) for m in (m00, m01, m10, m11))
-    out = np.empty_like(work)
-    out_view = np.moveaxis(out, axis, -1)
-    out_view[..., 0] = m00 * a0 + m01 * a1
-    out_view[..., 1] = m10 * a0 + m11 * a1
-    return out.reshape(amps.shape)
-
-
 def apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Flip the target bit wherever the control bit is 1."""
-    lead = amps.shape[:-1]
-    n = amps.shape[-1].bit_length() - 1
-    work = amps.reshape(lead + (2,) * n).copy()
-    axis_c = work.ndim - 1 - control
-    axis_t = work.ndim - 1 - target
-    idx = [slice(None)] * work.ndim
-    idx[axis_c] = 1
-    # integer-indexing drops the control axis, shifting later axes left
-    adj_t = axis_t - 1 if axis_t > axis_c else axis_t
-    work[tuple(idx)] = np.flip(work[tuple(idx)], axis=adj_t).copy()
-    return work.reshape(amps.shape)
+    """Flip the target bit wherever the control bit is 1: a[idx ^ (bit_c << t)]."""
+    idx = np.arange(amps.shape[-1])
+    return amps[..., idx ^ (((idx >> control) & 1) << target)]
 
 
-def apply_gate_amps(amps: np.ndarray, gate: Gate, angle=None) -> np.ndarray:
-    """Dispatch one gate on a (..., 2**n) amplitude array.
+def apply_gate_amps(amps: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply one gate to a (..., 2**n) amplitude array.
 
-    `angle` overrides gate.angle and may be a per-batch array (rotations only).
+    RY(t) sends a[idx] to c a[idx] + (2 bit_t - 1) s a[idx ^ 2**t], with
+    c, s = cos t/2, sin t/2 (the partner enters with -s where bit_t = 0).
     """
-    kind = gate.kind
-    if kind == "CNOT":
+    if gate.kind == "CNOT":
         return apply_cnot(amps, gate.control, gate.target)
-    if kind == "RY":
-        half = np.asarray(gate.angle if angle is None else angle) / 2.0
-        c, s = np.cos(half), np.sin(half)
-        return apply_single_qubit(amps, gate.target, c, -s, s, c)
-    raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Standard unitary action of one gate; returns a new state."""
-    _check_gate(gate, state.n_qubits)
-    return StateVector(state.n_qubits, apply_gate_amps(state.amplitudes, gate))
+    if gate.kind == "RY":
+        idx = np.arange(amps.shape[-1])
+        out = amps[..., idx ^ (1 << gate.target)]  # the partner, updated in place
+        out *= (2 * ((idx >> gate.target) & 1) - 1) * np.sin(gate.angle / 2.0)
+        out += np.cos(gate.angle / 2.0) * amps
+        return out
+    raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
 def run_circuit(circuit: QuantumCircuit, initial: StateVector | None = None) -> StateVector:
@@ -194,14 +141,9 @@ def expectation_z(state: StateVector, qubit: int) -> float:
 
 
 def expectation_z_amps(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """Batch <Z>: amps shape (..., 2**n) -> expectations of shape (...)."""
-    lead = amps.shape[:-1]
-    probs = (amps.real**2 + amps.imag**2).reshape(lead + (2,) * n_qubits)
-    axis = probs.ndim - 1 - qubit
-    p1 = np.take(probs, 1, axis=axis)
-    reduce_axes = tuple(range(len(lead), p1.ndim))
-    p1 = p1.sum(axis=reduce_axes) if reduce_axes else p1
-    return 1.0 - 2.0 * p1
+    """Batch <Z>: |a|^2 @ (1 - 2 bit_q), amps shape (..., 2**n) -> shape (...)."""
+    bit = (np.arange(2**n_qubits) >> qubit) & 1
+    return (amps.real**2 + amps.imag**2) @ (1.0 - 2.0 * bit)
 
 
 def encode_features(x) -> QuantumCircuit:
@@ -216,12 +158,15 @@ def encode_features(x) -> QuantumCircuit:
 
 
 def encode_features_amps(features: np.ndarray) -> np.ndarray:
-    """Batch angle encoding: (B, k) features -> (B, 2**k) amplitudes."""
-    batch, k = features.shape
-    amps = np.zeros((batch, 2**k), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    for q in range(k):
-        amps = apply_gate_amps(amps, ry(q, 0.0), angle=math.pi * features[:, q])
+    """Batch angle encoding: (B, k) features -> (B, 2**k) product states.
+
+    Qubit q is bit q of the index, so the state doubles once per qubit: the
+    new half with bit q = 0 is scaled by cos(pi x_q / 2), the other by sin.
+    """
+    amps = np.ones((features.shape[0], 1), dtype=np.complex128)
+    for column in features.T:
+        half = (math.pi * column / 2.0)[:, None]
+        amps = np.concatenate([amps * np.cos(half), amps * np.sin(half)], axis=-1)
     return amps
 
 

@@ -12,6 +12,7 @@ from qmlrobust.experiment import (
     emit_report,
     load_report_json,
     read_reduced_csv,
+    reduce_dataset,
     report_from_dict,
     report_to_dict,
     run_pipeline,
@@ -23,7 +24,7 @@ from qmlrobust.experiment import (
 from qmlrobust.metrics import Curve, confusion, scalar_metrics
 from qmlrobust.mlp import init_mlp, mlp_scores, train_mlp
 from qmlrobust.optim import EpochRecord, epoch_record
-from qmlrobust.perturb import PerturbationConfig, build_adversarial_set
+from qmlrobust.perturb import build_adversarial_set
 from qmlrobust.qnn import QnnModel, init_params, qnn_scores, train_qnn
 
 
@@ -54,6 +55,13 @@ def test_stage_seeds_distinct_and_stable():
     assert len(set(seeds.values())) == 4
     assert stage_seed(7, "shuffle") == seeds["shuffle"]
     assert stage_seed(8, "shuffle") != seeds["shuffle"]
+
+
+def test_attack_substream_follows_the_split():
+    cfg = ExperimentConfig(data_path="x.csv", seed=7)
+    assert cfg.perturbation("finetune").seed == stage_seed(7, "noise-finetune")
+    for split in ("train", "val", "test"):
+        assert cfg.perturbation(split).seed == stage_seed(7, "noise")
 
 
 def test_config_validation_messages():
@@ -108,10 +116,8 @@ def test_finetune_mode_scores_the_finetuned_models(synth_csv, tmp_path):
     cfg = quick_config(synth_csv, tmp_path / "out", epochs=5, finetune_mode="finetune")
     art = run_pipeline(cfg)
     plain = run_pipeline(replace(cfg, finetune_mode="evaluate-only"))
-    noise = PerturbationConfig(
-        epsilon=cfg.epsilon, seed=stage_seed(cfg.seed, "noise"), fraction=cfg.perturb_fraction
-    )
-    adv, _ = build_adversarial_set(subset(art.reduced, art.splits.test_idx), noise)
+    reduced, splits = reduce_dataset(cfg)
+    adv, _ = build_adversarial_set(subset(reduced, splits.test_idx), cfg.perturbation("test"))
     for m, scores in (("nn", mlp_scores), ("qnn", qnn_scores)):
         cm = confusion(adv.labels, scores(art.models[m], adv.values))
         assert art.report.after[m] == scalar_metrics(cm)
@@ -277,10 +283,10 @@ def test_reduced_csv_missing_header_columns(tmp_path):
 
 
 def test_split_name_column_covers_everything(synth_csv, tmp_path):
-    art = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5))
-    names = split_name_column(art.splits, art.reduced.n_samples)
+    reduced, splits = reduce_dataset(quick_config(synth_csv, tmp_path / "out", epochs=5))
+    names = split_name_column(splits, reduced.n_samples)
     assert set(names) == {"train", "val", "test", "finetune"}
-    assert np.sum(names == "train") == len(art.splits.train_idx)
+    assert np.sum(names == "train") == len(splits.train_idx)
 
 
 # --- the two heads ----------------------------------------------------------------------

@@ -10,19 +10,22 @@ from qmlrobust.simulator import (
     Gate,
     QuantumCircuit,
     StateVector,
-    apply_gate,
+    apply_cnot,
+    apply_gate_amps,
     circuit_metrics,
     cnot,
     encode_features,
+    encode_features_amps,
     expectation_z,
+    expectation_z_amps,
     run_circuit,
     ry,
 )
 
 # --- independent dense-matrix oracle -------------------------------------
 # Builds the full 2^n x 2^n unitary per gate from scratch (Kronecker products
-# and explicit index permutation for CNOT), never touching the simulator's
-# reshaped-axis kernels.
+# of the 2x2 matrix for RY, a per-index loop for CNOT) and applies it as a
+# matrix product, never calling the simulator's index-bit kernels.
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -72,39 +75,50 @@ def random_state(rng: np.random.Generator, n: int) -> StateVector:
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
+def basis_state(bits: str) -> StateVector:
+    """Computational basis state from a bit string, qubit 0 rightmost."""
+    amps = np.zeros(2 ** len(bits), dtype=np.complex128)
+    amps[int(bits, 2)] = 1.0
+    return StateVector(len(bits), amps)
+
+
+def apply_one(state: StateVector, gate: Gate) -> StateVector:
+    return run_circuit(QuantumCircuit(state.n_qubits, [gate]), state)
+
+
 # --- single gates ---------------------------------------------------------
 
 
 def test_ry_pi_flips_zero_to_one():
-    out = apply_gate(StateVector.zero(1), ry(0, math.pi))
+    out = apply_one(StateVector.zero(1), ry(0, math.pi))
     np.testing.assert_allclose(out.amplitudes, [0.0, 1.0], atol=1e-15)
 
 
 def test_cnot_truth_table():
     # control set -> target flips: q0=1, q1=0 maps to q0=1, q1=1
-    out = apply_gate(StateVector.from_bits("01"), cnot(0, 1))
+    out = apply_one(basis_state("01"), cnot(0, 1))
     np.testing.assert_array_equal(out.amplitudes, [0, 0, 0, 1])
     # control clear -> nothing happens
-    out = apply_gate(StateVector.from_bits("10"), cnot(0, 1))
+    out = apply_one(basis_state("10"), cnot(0, 1))
     np.testing.assert_array_equal(out.amplitudes, [0, 0, 1, 0])
 
 
 def test_ry_half_turn_on_zero_is_plus():
-    out = apply_gate(StateVector.zero(1), ry(0, math.pi / 2))
+    out = apply_one(StateVector.zero(1), ry(0, math.pi / 2))
     np.testing.assert_allclose(out.amplitudes, [1 / math.sqrt(2)] * 2, rtol=1e-15)
 
 
 def test_gate_outside_the_model_set_rejected():
     for gate in (Gate("H", 0), Gate("RX", 0, angle=0.5)):
         with pytest.raises(ValueError, match="unknown gate kind"):
-            apply_gate(StateVector.zero(1), gate)
+            apply_one(StateVector.zero(1), gate)
 
 
 def test_gate_index_out_of_range():
     with pytest.raises(ValueError):
-        apply_gate(StateVector.zero(2), ry(2, 0.1))
+        apply_one(StateVector.zero(2), ry(2, 0.1))
     with pytest.raises(ValueError):
-        apply_gate(StateVector.zero(2), cnot(1, 1))
+        apply_one(StateVector.zero(2), cnot(1, 1))
 
 
 # --- circuits -------------------------------------------------------------
@@ -133,7 +147,7 @@ def test_random_circuits_preserve_norm():
         n = int(rng.integers(1, 5))
         circuit = random_circuit(rng, n, 30)
         out = run_circuit(circuit)
-        assert abs(out.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
 
 
 def test_against_dense_matrix_oracle():
@@ -171,8 +185,8 @@ def test_unitarity_random_gate_random_state(kind, angle, seed):
     else:
         control, target = rng.choice(n, size=2, replace=False)
         gate = cnot(int(control), int(target))
-    out = apply_gate(state, gate)
-    assert abs(out.norm() - 1.0) < 1e-12
+    out = apply_one(state, gate)
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
 # --- readout --------------------------------------------------------------
@@ -180,11 +194,11 @@ def test_unitarity_random_gate_random_state(kind, angle, seed):
 
 def test_expectation_z_eigenstates():
     assert expectation_z(StateVector.zero(1), 0) == 1.0
-    assert expectation_z(StateVector.from_bits("1"), 0) == -1.0
+    assert expectation_z(basis_state("1"), 0) == -1.0
 
 
 def test_expectation_z_superposition():
-    plus = apply_gate(StateVector.zero(1), ry(0, math.pi / 2))
+    plus = apply_one(StateVector.zero(1), ry(0, math.pi / 2))
     assert abs(expectation_z(plus, 0)) < 1e-12
 
 
@@ -239,6 +253,31 @@ def test_encode_rejects_bad_input():
         encode_features([0.5, 1.2])
     with pytest.raises(ValueError):
         encode_features([-0.1])
+
+
+# --- batch kernels --------------------------------------------------------
+
+
+def test_batch_kernels_match_per_row_circuits():
+    # the kernels the qnn oracle route calls, on a (B, 2**n) batch
+    rng = np.random.default_rng(31)
+    n, batch = 4, 6
+    X = rng.uniform(0, 1, size=(batch, n))
+    amps = encode_features_amps(X)
+    states = [run_circuit(encode_features(x)) for x in X]
+    np.testing.assert_allclose(amps, [s.amplitudes for s in states], rtol=0, atol=1e-15)
+    amps = amps * np.exp(1j * rng.uniform(0, 2 * np.pi, size=amps.shape))
+    states = [StateVector(n, row) for row in amps]
+    for gate in (ry(2, 0.7), cnot(1, 3), cnot(3, 0), ry(0, -2.1)):
+        if gate.kind == "CNOT":
+            amps = apply_cnot(amps, gate.control, gate.target)
+        else:
+            amps = apply_gate_amps(amps, gate)
+        states = [apply_one(s, gate) for s in states]
+        np.testing.assert_array_equal(amps, [s.amplitudes for s in states])
+    for q in range(n):
+        expect = [expectation_z(s, q) for s in states]
+        np.testing.assert_allclose(expectation_z_amps(amps, q, n), expect, rtol=0, atol=1e-15)
 
 
 # --- size / depth ---------------------------------------------------------
