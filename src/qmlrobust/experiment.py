@@ -44,8 +44,7 @@ from .mlp import MlpModel, init_mlp, mlp_scores, train_mlp
 from .optim import EpochRecord
 from .pca import fit_pca, transform_pca
 from .perturb import PerturbationConfig, build_adversarial_set
-from .qnn import QnnModel, build_model_circuit, init_params, qnn_scores, train_qnn
-from .simulator import circuit_metrics
+from .qnn import QnnModel, init_params, qnn_scores, train_qnn
 
 EVALUATE_ONLY = "evaluate-only"
 FINETUNE = "finetune"
@@ -228,12 +227,11 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineArtifacts:
                 adv_test.labels, scorers[m](models[m], adv_test.values)
             )
 
-    qnn_metrics = circuit_metrics(build_model_circuit(models["qnn"], np.zeros(k)))
     report = Report(
         config=cfg.echo(),
         circuit={
-            "size": qnn_metrics.size,
-            "depth": qnn_metrics.depth,
+            "size": k,
+            "depth": qnn.circuit_depth,
             "precision": "float64",
             "measured_accuracy": results["qnn", "clean"][1].accuracy,
         },

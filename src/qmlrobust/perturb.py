@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,7 +43,8 @@ def build_adversarial_set(
     if n == 0:
         raise ValueError("cannot perturb an empty dataset")
     rng = np.random.default_rng(cfg.seed)
-    n_hit = math.ceil(cfg.fraction * n)
+    # the decimal as typed (str, not the binary value, so 0.07 of 100 rows is 7, not 8)
+    n_hit = math.ceil(Fraction(str(cfg.fraction)) * n)
     chosen = np.sort(rng.choice(n, size=n_hit, replace=False))
 
     values = data.values.copy()

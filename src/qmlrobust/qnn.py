@@ -42,11 +42,10 @@ and of 20 runs, 2-core Xeon). The kernel runs in row blocks whose
 gradient arrays total about `_BLOCK_BYTES`, so a wide model stays in
 bounded memory, and a row scores bit-identically in any block.
 
-The reference oracle is `qnn_score_grad`: the per-sample two-point
-parameter shift on the complex gate-kernel path of `simulator`
-(`_variational_amps`). Tests pit the kernel against it, against
-`run_circuit(build_model_circuit(...))`, against a float64 statevector
-and against finite differences.
+`build_model_circuit` alone spells out the model's gates as a gate list,
+and `simulator.run_circuit` on it is the reference oracle. Tests pit the
+kernel's scores against it, its gradient against the two-point parameter
+shift on it, and both against a float64 statevector and finite differences.
 """
 from __future__ import annotations
 
@@ -59,18 +58,11 @@ import numpy as np
 from .data import FeatureMatrix
 from .optim import AdamState, EpochRecord, adam_step, epoch_record, hinge_weights
 from .optim import load_checkpoint, save_checkpoint
-from .simulator import (
-    QuantumCircuit,
-    apply_cnot,
-    apply_gate_amps,
-    cnot,
-    encode_features,
-    encode_features_amps,
-    expectation_z_amps,
-    ry,
-)
+from .simulator import QuantumCircuit, cnot, encode_features, ry
 
-SHIFT = math.pi / 2  # exact-gradient shift for RY parameters
+# Unused here: the benchmark's tracer wraps qmlrobust.qnn.<name> for these
+# four kernels and bench/test_bench.py::_targets requires each to exist.
+from .simulator import apply_cnot, apply_gate_amps, encode_features_amps, expectation_z_amps  # noqa: F401
 
 # bytes the gradient of one row block allocates (`_block_rows`)
 _BLOCK_BYTES = 3 * 2**20
@@ -102,6 +94,18 @@ class QnnModel:
     @property
     def n_params(self) -> int:
         return self.n_layers * self.n_qubits
+
+    @property
+    def circuit_depth(self) -> int:
+        """Depth of `build_model_circuit`'s circuit, k + 1 + (L - 1) * min(k, 3).
+
+        Encoding and layer-0 RY take two steps, the first CNOT chain k - 1.
+        A later chain's CNOT (q - 1, q) waits for the RY on qubit q, which
+        waits for the previous chain's CNOT (q, q + 1): each chain runs three
+        steps behind the one before, or k (an RY, then any CNOT) below 3 qubits.
+        """
+        k = self.n_qubits
+        return k + 1 + (self.n_layers - 1) * min(k, 3)
 
 
 def init_params(model: QnnModel, seed: int) -> np.ndarray:
@@ -282,18 +286,6 @@ def _grad(theta: np.ndarray, readout: int, X: np.ndarray, weight: np.ndarray) ->
     return grad
 
 
-def _variational_amps(
-    params: np.ndarray, amps: np.ndarray, n_qubits: int, n_layers: int
-) -> np.ndarray:
-    for layer in range(n_layers):
-        base = layer * n_qubits
-        for q in range(n_qubits):
-            amps = apply_gate_amps(amps, ry(q, float(params[base + q])))
-        for q in range(n_qubits - 1):
-            amps = apply_cnot(amps, q, q + 1)
-    return amps
-
-
 def qnn_scores(model: QnnModel, X: np.ndarray) -> np.ndarray:
     """Batch scores for a (B, n_qubits) feature matrix."""
     X = np.asarray(X, dtype=float)
@@ -309,25 +301,6 @@ def qnn_scores(model: QnnModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def qnn_score_grad(model: QnnModel, x) -> np.ndarray:
-    """d<Z>/dtheta for one sample via the two-point shift rule, one entry per parameter."""
-    vec = np.asarray(x, dtype=float)
-    enc = encode_features_amps(vec[None, :])
-    grad = np.empty(model.n_params)
-    for j in range(model.n_params):
-        plus = _shifted_score(model, j, +SHIFT, enc)
-        minus = _shifted_score(model, j, -SHIFT, enc)
-        grad[j] = (plus[0] - minus[0]) / 2.0
-    return grad
-
-
-def _shifted_score(model: QnnModel, j: int, delta: float, enc_amps: np.ndarray) -> np.ndarray:
-    shifted = model.params.copy()
-    shifted[j] += delta
-    amps = _variational_amps(shifted, enc_amps, model.n_qubits, model.n_layers)
-    return expectation_z_amps(amps, model.readout_qubit, model.n_qubits)
-
-
 def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean hinge loss over a batch, computed by adjoint differentiation.
 
@@ -336,7 +309,7 @@ def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray) -> np.nd
     one `qnn_scores` call, and samples past the margin are skipped. The
     adjoint sweep (`_grad`) gives every layer x qubit derivative of the
     weighted scores at once. The result equals the exact two-point
-    parameter shift (`qnn_score_grad`) weighted by the hinge.
+    parameter shift on `build_model_circuit` weighted by the hinge.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)

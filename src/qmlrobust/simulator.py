@@ -1,7 +1,6 @@
 """Dense statevector simulation of small parameterized circuits: the
-reference oracle for the batched model kernel in `qnn`, and the circuit
-whose size and depth the report gives. The gate set is the model's, RY and
-CNOT.
+reference oracle for the batched model kernel in `qnn`. The gate set is the
+model's, RY and CNOT.
 
 Conventions (fixed so that tests can be bit-exact):
 - qubit 0 is the least significant bit of the amplitude index, i.e. the
@@ -31,11 +30,6 @@ class Gate:
     target: int
     control: int | None = None
     angle: float | None = None
-
-    def wires(self) -> tuple[int, ...]:
-        if self.control is None:
-            return (self.target,)
-        return (self.control, self.target)
 
 
 def ry(target: int, angle: float) -> Gate:
@@ -69,12 +63,6 @@ class StateVector:
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
         amps[0] = 1.0
         return cls(n_qubits, amps)
-
-
-@dataclass(frozen=True)
-class CircuitMetrics:
-    size: int
-    depth: int
 
 
 def _check_gate(gate: Gate, n_qubits: int) -> None:
@@ -169,17 +157,3 @@ def encode_features_amps(features: np.ndarray) -> np.ndarray:
         amps = np.concatenate([amps * np.cos(half), amps * np.sin(half)], axis=-1)
     return amps
 
-
-def circuit_metrics(circuit: QuantumCircuit) -> CircuitMetrics:
-    """Size (wire count) and depth via greedy as-soon-as-possible layering.
-
-    Each gate lands on layer 1 + max(current layer of the wires it touches);
-    depth is the largest layer assigned on any wire.
-    """
-    circuit.validate()
-    wire_layer = [0] * circuit.n_qubits
-    for gate in circuit.gates:
-        layer = 1 + max(wire_layer[w] for w in gate.wires())
-        for w in gate.wires():
-            wire_layer[w] = layer
-    return CircuitMetrics(size=circuit.n_qubits, depth=max(wire_layer, default=0))

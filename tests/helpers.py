@@ -1,5 +1,6 @@
 """Test-only data builders and readers: a separable synthetic dataset, its
-raw CSV form, and a reader for the report's curve CSVs."""
+raw CSV form, a reader for the report's curve CSVs, and a brute-force
+circuit depth."""
 import csv
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 
 from qmlrobust.data import FeatureMatrix
 from qmlrobust.metrics import Curve
+from qmlrobust.simulator import QuantumCircuit
 
 
 def make_separable(n_samples: int, n_features: int, seed: int) -> FeatureMatrix:
@@ -42,3 +44,19 @@ def read_curve_csv(path: str | Path, kind: str = "roc") -> Curve:
     x, y = points[:, 0], points[:, 1]
     auc = float(np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0))
     return Curve(points=points, auc=auc, kind=kind)
+
+
+def layering_oracle(circuit: QuantumCircuit) -> int:
+    """Brute-force depth: explicit layer lists, a gate joins the earliest
+    layer after every layer that uses one of its wires."""
+    layers: list[set[int]] = []
+    placed_at: dict[int, int] = {w: -1 for w in range(circuit.n_qubits)}
+    for gate in circuit.gates:
+        wires = [gate.target] if gate.control is None else [gate.control, gate.target]
+        earliest = max(placed_at[w] for w in wires) + 1
+        while len(layers) <= earliest:
+            layers.append(set())
+        layers[earliest].update(wires)
+        for w in wires:
+            placed_at[w] = earliest
+    return len(layers)

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import layering_oracle
 
+import qmlrobust
 from qmlrobust.cli import main, parse_cli, read_config_file
 from qmlrobust.experiment import load_report_json
+from qmlrobust.qnn import build_model_circuit, load_qnn
 
 
 # --- parsing -----------------------------------------------------------------
@@ -148,6 +156,33 @@ def test_run_produces_report_directory(synth_csv, tmp_path, capsys):
     assert sum(1 for n in names if n.endswith(".csv")) == 8
     assert sum(1 for n in names if n.endswith(".svg")) == 4
     assert "report written" in capsys.readouterr().out
+
+
+def test_report_circuit_matches_the_model_circuit(synth_csv, tmp_path):
+    out = tmp_path / "out"
+    args = ["--data-path", str(synth_csv), "--output-dir", str(out), "--seed", "5",
+            "--pca-components", "5", "--qnn-layers", "3", "--epochs", "1"]
+    assert main(["run", *args]) == 0
+    circuit = json.loads((out / "report.json").read_text(encoding="utf-8"))["circuit"]
+    model = load_qnn(out / "qnn_model.txt")
+    assert circuit["size"] == model.n_qubits == 5
+    assert circuit["depth"] == layering_oracle(build_model_circuit(model, np.zeros(5))) == 12
+
+
+def test_module_entry_point_prints_run_usage():
+    src = str(Path(qmlrobust.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-m", "qmlrobust", "run", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: qmlrobust run ")
+    assert "--pca-components" in run.stdout
 
 
 def test_runtime_failure_exits_one(tmp_path, capsys):

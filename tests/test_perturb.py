@@ -62,12 +62,15 @@ def test_full_fraction_zero_epsilon_returns_input():
 
 
 def test_exact_row_count_perturbed():
-    data = matrix(100, 6, seed=5, lo=0.3, hi=0.7)
-    cfg = PerturbationConfig(epsilon=0.2, seed=11, fraction=0.2)
-    out, hit = build_adversarial_set(data, cfg)
-    changed = np.nonzero(np.any(out.values != data.values, axis=1))[0]
-    assert changed.size == 20
-    np.testing.assert_array_equal(changed, hit)
+    # ceil of the decimal fraction: 0.07 * 100 is 7.000000000000001 in binary
+    cases = ((100, 0.2, 20), (100, 0.07, 7), (200, 0.035, 7), (10, 0.25, 3), (100, np.float64(0.07), 7))
+    for n, fraction, expected in cases:
+        data = matrix(n, 6, seed=5, lo=0.3, hi=0.7)
+        cfg = PerturbationConfig(epsilon=0.2, seed=11, fraction=fraction)
+        out, hit = build_adversarial_set(data, cfg)
+        changed = np.nonzero(np.any(out.values != data.values, axis=1))[0]
+        assert changed.size == expected, (n, fraction)
+        np.testing.assert_array_equal(changed, hit)
 
 
 def test_labels_unchanged():

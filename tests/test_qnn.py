@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import statevector
+from helpers import layering_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,6 @@ from qmlrobust.qnn import (
     init_params,
     load_qnn,
     parameter_shift_grad,
-    qnn_score_grad,
     qnn_scores,
     save_qnn,
     train_qnn,
@@ -35,6 +35,23 @@ def model_with(n, layers, params=None, seed=0):
     if params is None:
         params = np.random.default_rng(seed).uniform(0, np.pi, size=n * layers)
     return QnnModel(n_qubits=n, n_layers=layers, params=np.asarray(params, dtype=float))
+
+
+SHIFT = math.pi / 2  # exact-gradient shift for RY parameters
+
+
+def qnn_score_grad(model, x):
+    """d<Z>/dtheta for one sample by the two-point shift rule on the gate-list simulator."""
+    grad = np.empty(model.n_params)
+    for j in range(model.n_params):
+        scores = []
+        for delta in (SHIFT, -SHIFT):
+            params = model.params.copy()
+            params[j] += delta
+            circuit = build_model_circuit(replace(model, params=params), x)
+            scores.append(expectation_z(run_circuit(circuit), model.readout_qubit))
+        grad[j] = (scores[0] - scores[1]) / 2.0
+    return grad
 
 
 def finite_difference_grad(model, X, y, step=1e-4):
@@ -87,6 +104,16 @@ def test_single_qubit_has_no_entanglers():
     model = model_with(1, 1, params=[0.4])
     circuit = build_model_circuit(model, [0.0])
     assert all(g.kind != "CNOT" for g in circuit.gates)
+
+
+def test_circuit_depth_matches_layering_oracle():
+    # frozen from the oracle: encoding, then twice (RY per qubit + CNOT chain)
+    assert layering_oracle(build_model_circuit(model_with(4, 2), np.zeros(4))) == 8
+    assert model_with(4, 2).circuit_depth == 8
+    for n in range(1, 17):
+        for layers in range(1, 7):
+            model = model_with(n, layers)
+            assert model.circuit_depth == layering_oracle(build_model_circuit(model, np.zeros(n)))
 
 
 def test_parameter_count_and_shape_rejected():

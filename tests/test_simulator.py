@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmlrobust.simulator import (
-    CircuitMetrics,
     Gate,
     QuantumCircuit,
     StateVector,
     apply_cnot,
     apply_gate_amps,
-    circuit_metrics,
     cnot,
     encode_features,
     encode_features_amps,
@@ -259,7 +257,7 @@ def test_encode_rejects_bad_input():
 
 
 def test_batch_kernels_match_per_row_circuits():
-    # the kernels the qnn oracle route calls, on a (B, 2**n) batch
+    # the batch kernels on a (B, 2**n) batch, against per-row circuits
     rng = np.random.default_rng(31)
     n, batch = 4, 6
     X = rng.uniform(0, 1, size=(batch, n))
@@ -278,55 +276,3 @@ def test_batch_kernels_match_per_row_circuits():
     for q in range(n):
         expect = [expectation_z(s, q) for s in states]
         np.testing.assert_allclose(expectation_z_amps(amps, q, n), expect, rtol=0, atol=1e-15)
-
-
-# --- size / depth ---------------------------------------------------------
-
-
-def layering_oracle(circuit: QuantumCircuit) -> int:
-    """Brute-force depth: explicit layer lists, a gate joins the earliest
-    layer after every layer that uses one of its wires."""
-    layers: list[set[int]] = []
-    placed_at: dict[int, int] = {w: -1 for w in range(circuit.n_qubits)}
-    for gate in circuit.gates:
-        earliest = max(placed_at[w] for w in gate.wires()) + 1
-        while len(layers) <= earliest:
-            layers.append(set())
-        layers[earliest].update(gate.wires())
-        for w in gate.wires():
-            placed_at[w] = earliest
-    return len(layers)
-
-
-def test_metrics_empty_circuit():
-    assert circuit_metrics(QuantumCircuit(3, [])) == CircuitMetrics(size=3, depth=0)
-
-
-def test_metrics_two_rotations_then_cnot():
-    circuit = QuantumCircuit(2, [ry(0, 0.3), ry(1, 0.4), cnot(0, 1)])
-    assert layering_oracle(circuit) == 2
-    assert circuit_metrics(circuit) == CircuitMetrics(size=2, depth=2)
-
-
-def test_metrics_encoding_plus_two_entangling_layers():
-    # per-qubit RY encoding, then twice (per-qubit RY + linear CNOT chain)
-    n = 4
-    gates = [ry(q, 0.1) for q in range(n)]
-    for _ in range(2):
-        gates += [ry(q, 0.2) for q in range(n)]
-        gates += [cnot(q, q + 1) for q in range(n - 1)]
-    circuit = QuantumCircuit(n, gates)
-    expected = layering_oracle(circuit)
-    assert expected == 8  # frozen from the oracle
-    assert circuit_metrics(circuit).depth == expected
-    assert circuit_metrics(circuit).size == n
-
-
-def test_metrics_against_oracle_random():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        n = int(rng.integers(1, 6))
-        circuit = random_circuit(rng, n, int(rng.integers(0, 40)))
-        got = circuit_metrics(circuit)
-        assert got.depth == layering_oracle(circuit)
-        assert got.depth <= len(circuit.gates)
