@@ -16,6 +16,7 @@ explicit flags win. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -80,7 +81,9 @@ _PREPROCESS_FIELDS = ("data_path", "label_column", "seed", "pca_components")
 _ATTACK_FIELDS = ("seed", "epsilon", "perturb_fraction")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared: parsing keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="qmlrobust",
         description="Train an MLP and a simulated quantum classifier, attack both "

@@ -14,6 +14,7 @@ data split or the attack noise.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -453,7 +454,7 @@ def write_reduced_csv(
 def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
     """Parse a `write_reduced_csv` file with `load_csv`, then check its columns.
 
-    Every feature must be a number, every label -1 or 1 and every split
+    Every feature must be a finite number, every label -1 or 1 and every split
     one of `SPLIT_NAMES`; an error names the line of the first record that
     breaks one of these. `load_csv` refuses a ragged row or an empty cell
     where it meets it, ahead of these checks and of any earlier bad value.
@@ -464,9 +465,17 @@ def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
     *features, labels, splits = raw.columns
     bad = []  # (row, problem) of the first failure of each check, in check order
     for column in features:
-        if not isinstance(column, np.ndarray):
-            at = next(i for i, cell in enumerate(column) if isinstance(cell, str))
-            bad.append((at, f"could not convert string to float: {column[at]!r}"))
+        if isinstance(column, np.ndarray):
+            at = next(iter(np.flatnonzero(~np.isfinite(column))), None)
+        else:  # text among the numbers
+            at = next(i for i, c in enumerate(column) if isinstance(c, str) or not math.isfinite(c))
+        if at is None:
+            continue
+        cell = column[at]
+        if isinstance(cell, str):
+            bad.append((at, f"could not convert string to float: {cell!r}"))
+        else:
+            bad.append((at, f"feature must be finite, found {float(cell)!r}"))
     for column, allowed, rule in (
         (labels, (-1.0, 1.0), "label must be -1 or 1"),
         (splits, SPLIT_NAMES, f"split must be one of {', '.join(SPLIT_NAMES)}"),

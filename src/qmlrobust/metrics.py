@@ -48,7 +48,7 @@ def _check_scored(labels, scores) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"labels {labels.shape} and scores {scores.shape} differ in length")
     if labels.size == 0:
         raise ValueError("no samples to evaluate")
-    if not np.all(np.isin(labels, (-1, 1))):
+    if not np.all((labels == 1) | (labels == -1)):
         raise ValueError("labels must all be -1 or +1")
     return labels, scores
 

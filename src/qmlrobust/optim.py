@@ -21,7 +21,7 @@ EPS_STABILIZER = 1e-8
 def mean_hinge_loss(labels: np.ndarray, scores: np.ndarray) -> float:
     """Mean of max(0, 1 - y*score) over labels in {-1, +1}."""
     labels = np.asarray(labels)
-    if not np.all(np.isin(labels, (-1, 1))):
+    if not np.all((labels == 1) | (labels == -1)):
         raise ValueError("labels must all be -1 or +1")
     return float(np.mean(np.maximum(0.0, 1.0 - labels * np.asarray(scores))))
 
@@ -89,13 +89,20 @@ def save_checkpoint(path: str | Path, header: str, params: np.ndarray) -> None:
 def load_checkpoint(path: str | Path, kind: str) -> tuple[list[int], np.ndarray]:
     """(header sizes, params) of a `save_checkpoint` file whose header starts with `kind`.
 
-    Errors name the path; the caller's model checks the sizes and the count.
+    Every parameter must be a finite number. Errors name the path, and a
+    non-finite value its line; the caller's model checks the sizes and the
+    count.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     head = lines[0].split() if lines else []
     if head[:1] != [kind] or not all(v.isdigit() for v in head[1:]):
         raise ValueError(f"{path}: expected a '{kind} <sizes>' header, found {' '.join(head)!r}")
     try:
-        return [int(v) for v in head[1:]], np.asarray([float(v) for v in lines[1:]])
+        params = np.asarray([float(v) for v in lines[1:]])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    nonfinite = np.flatnonzero(~np.isfinite(params))
+    if nonfinite.size:
+        at = int(nonfinite[0]) + 1  # index into lines; the header is line 1
+        raise ValueError(f"{path}:{at + 1}: parameter must be finite, found {lines[at].strip()!r}")
+    return [int(v) for v in head[1:]], params

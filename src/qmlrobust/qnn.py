@@ -25,11 +25,22 @@ left-to-right transfer contraction with (1, -1) on the physical index of
 qubits up to the readout.
 
 **Gradient.** Because the chain acts site by site, a site's final tensor
-depends only on its own feature and its own angles. One sweep of right
-environments and the left sweep of the score give d score / d tensor for
-every site; stepping those back through the layers (the adjoint of RY,
-then of the index copy) gives every angle's derivative: the adjoint method
-of Jones & Gacon (arXiv:2009.02823) on tensors, about three score passes.
+depends only on its own feature and its own angles. The right environments
+and the left halves of the score give d score / d tensor for every site;
+stepping those back through the layers (the adjoint of RY, then of the
+index copy) gives every angle's derivative: the adjoint method of Jones &
+Gacon (arXiv:2009.02823) on tensors, about three score passes. The right
+sweep is the left one on the mirrored chain, so both run as one sweep over
+a stack of two, with the same products and sums per element in the same
+order: k - 1 steps and one absorb where two sweeps took 2k - 1 steps,
+for the same bits.
+
+Two passes stay duplicated. `parameter_shift_grad` scores the batch for
+its hinge weights, although `train_qnn` scored the same rows with the same
+parameters after the step before; the benchmark's tracer reads the active
+fraction off that nested `qnn_scores` call. And `_grad` sweeps its left
+halves again rather than keep them from that call: the call scores every
+row, the gradient only the rows inside the margin.
 
 Every product and sum runs elementwise over the rows, with no BLAS call,
 because numpy pays one BLAS call per tiny 2 x 2 or 4 x 4 matrix. A score
@@ -132,8 +143,9 @@ def build_model_circuit(model: QnnModel, x) -> QuantumCircuit:
 
 def _ry(angles: np.ndarray) -> np.ndarray:
     """RY(angles[q]) for every q, shape (qubits, 2, 2)."""
-    c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
-    return np.moveaxis(np.array([[c, -s], [s, c]]), -1, 0)
+    half = angles / 2.0
+    c, s = np.cos(half), np.sin(half)
+    return np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
 
 
 def _mps_layers(theta: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
@@ -145,8 +157,8 @@ def _mps_layers(theta: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
     bond and the outgoing carry c its right one:
     new[(l, p), c, (r, c)] = old[l, c ^ p, r], and after RY,
     new[(l, p), a, (r, c)] = ry[a, c] * old[l, c ^ p, r]. Every site gets
-    both carries, so all sites share one shape and each step is a few
-    elementwise products over all of them; the edge environments
+    both carries, so all sites share one shape and each step is two
+    elementwise products over all of them, one per p; the edge environments
     (`_left_edge`, and ones on the right) keep only p = 0 at site 0 and sum
     the last site's outgoing carry away.
     """
@@ -158,13 +170,12 @@ def _mps_layers(theta: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
     np.sin(half, out=sites[:, 0, 1, 0])
     layers = [sites]
     for angles in theta[1:]:
-        ry = _ry(angles)
+        ry = _ry(angles)[:, None, :, None, :, None]  # (q, ., a, ., c, .)
         bond = sites.shape[1]
         out = np.empty((n_qubits, bond, 2, 2, bond, 2, rows))
-        for p in range(2):
-            for c in range(2):
-                slot = out[:, :, p, :, :, c]
-                np.multiply(ry[:, None, :, c, None, None], sites[:, :, c ^ p, None], out=slot)
+        # old[c ^ p] is old[c] for p = 0 and old[1 - c] for p = 1, a view either way
+        for p, old in enumerate((sites, sites[:, :, ::-1])):
+            np.multiply(ry, old.transpose(0, 1, 3, 2, 4)[:, :, None], out=out[:, :, p])
         sites = out.reshape(n_qubits, 2 * bond, 2, 2 * bond, rows)
         layers.append(sites)
     return layers
@@ -172,47 +183,47 @@ def _mps_layers(theta: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
 
 def _chain_ry_adjoint(grad: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """d/d old from d/d new of one `_mps_layers` step: RY transposed, the copy summed back."""
-    ry = _ry(angles)
+    ry = _ry(angles)[:, :, None, :, None, None]  # (q, a, ., c, ., .)
     n_qubits, bond, _, _, rows = grad.shape
     bond //= 2
-    grad = grad.reshape(n_qubits, bond, 2, 2, bond, 2, rows)
+    # (q, l, p, a, c, r, rows): c next to the old physical index it came from
+    grad = grad.reshape(n_qubits, bond, 2, 2, bond, 2, rows).transpose(0, 1, 2, 3, 5, 4, 6)
     out = np.zeros((n_qubits, bond, 2, bond, rows))
-    for p in range(2):
-        for c in range(2):
-            out[:, :, c ^ p] += (
-                ry[:, 0, c, None, None, None] * grad[:, :, p, 0, :, c]
-                + ry[:, 1, c, None, None, None] * grad[:, :, p, 1, :, c]
-            )
+    # new carry c came from old index c ^ p: out[c] for p = 0, out[1 - c] for p = 1
+    for p, dest in enumerate((out, out[:, :, ::-1])):
+        dest += ry[:, 0] * grad[:, :, p, 0] + ry[:, 1] * grad[:, :, p, 1]
     return out
 
 
 def _left_edge(bond: int, rows: int) -> np.ndarray:
-    """Environment left of site 0: only bond index 0 (no incoming carry) is live."""
-    env = np.zeros((bond, bond, rows))
-    env[0, 0] = 1.0
+    """Environment left of site 0, a stack of one: only bond index 0 (no incoming carry) is live."""
+    env = np.zeros((1, bond, bond, rows))
+    env[0, 0, 0] = 1.0
     return env
 
 
-def _absorb(env: np.ndarray, site: np.ndarray, flip: bool) -> np.ndarray:
-    """half[l', p, r] = sum over l of env[l, l'] s_p site[l, p, r].
+def _absorb(env: np.ndarray, site: np.ndarray, flip: list[bool]) -> np.ndarray:
+    """half[s, l', p, r] = sum over l of env[s, l, l'] s_p site[s, l, p, r].
 
-    s = (1, -1) if flip (qubits up to the readout), else (1, 1).
+    The leading axis stacks independent sweeps. s = (1, -1) where flip[s]
+    (qubits up to the readout), else (1, 1).
     """
-    half = env[0, :, None, None] * site[0, None]
-    for l in range(1, len(env)):
-        half += env[l, :, None, None] * site[l, None]
-    if flip:
-        half[:, 1] *= -1.0
+    half = env[:, 0, :, None, None] * site[:, 0, None]
+    for l in range(1, env.shape[1]):
+        half += env[:, l, :, None, None] * site[:, l, None]
+    for s, negate in enumerate(flip):
+        if negate:
+            half[s, :, 1] *= -1.0
     return half
 
 
 def _close(half: np.ndarray, site: np.ndarray) -> np.ndarray:
-    """out[r, r'] = sum over l', p of half[l', p, r] site[l', p, r']."""
-    out = half[0, 0, :, None] * site[0, 0, None]
-    for l in range(len(half)):
+    """out[s, r, r'] = sum over l', p of half[s, l', p, r] site[s, l', p, r']."""
+    out = half[:, 0, 0, :, None] * site[:, 0, 0, None]
+    for l in range(half.shape[1]):
         for p in range(2):
             if l or p:
-                out += half[l, p, :, None] * site[l, p, None]
+                out += half[:, l, p, :, None] * site[:, l, p, None]
     return out
 
 
@@ -237,8 +248,8 @@ def _scores(theta: np.ndarray, readout: int, X: np.ndarray) -> np.ndarray:
     """
     sites = _mps_layers(theta, X)[-1]
     env = _left_edge(sites.shape[1], len(X))
-    for q, site in enumerate(sites):
-        env = _close(_absorb(env, site, q <= readout), site)
+    for q, site in enumerate(sites[:, None]):  # each site as a stack of one
+        env = _close(_absorb(env, site, [q <= readout]), site)
     # the right edge is all ones: sum the environment over both bonds
     terms = env.reshape(-1, len(X))
     score = terms[0].copy()
@@ -260,16 +271,24 @@ def _grad(theta: np.ndarray, readout: int, X: np.ndarray, weight: np.ndarray) ->
     layers = _mps_layers(theta, X)
     sites = layers[-1]
     n_qubits, bond = sites.shape[:2]
+    half = np.empty_like(sites)  # half[q]: left environment of site q absorbed into it
     right = np.empty((n_qubits, bond, bond, len(X)))  # right[q]: right of site q
     right[-1] = 2.0 * weight
-    for q in range(n_qubits - 1, 0, -1):
-        mirrored = sites[q].transpose(2, 1, 0, 3)  # right bond first
-        right[q - 1] = _close(_absorb(right[q], mirrored, q <= readout), mirrored)
-    half = np.empty_like(sites)
-    env = _left_edge(bond, len(X))
-    for q, site in enumerate(sites):
-        half[q] = _absorb(env, site, q <= readout)
-        env = _close(half[q], site)
+    # one sweep runs both ways: stack slot 0 walks left to right over the
+    # sites, slot 1 right to left over them mirrored (right bond first).
+    # Each step copies its two sites into one small buffer; a stacked copy
+    # of all sites would be a fresh allocation, faulted in on every call.
+    env = np.concatenate([_left_edge(bond, len(X)), right[-1:]])
+    pair = np.empty((2,) + sites.shape[1:])
+    for q in range(n_qubits - 1):
+        mirror = n_qubits - 1 - q  # the right sweep's site
+        pair[0] = sites[q]
+        pair[1] = sites[mirror].transpose(2, 1, 0, 3)
+        halves = _absorb(env, pair, [q <= readout, mirror <= readout])
+        half[q] = halves[0]
+        env = _close(halves, pair)
+        right[mirror - 1] = env[1]
+    half[-1] = _absorb(env[:1], sites[-1:], [n_qubits - 1 <= readout])[0]
     # d score / d site[q][a, p, b] = sum over r of half[q][a, p, r] right[q][b, r]
     d_sites = half[:, :, :, 0, None] * right[:, None, None, :, 0]
     for r in range(1, bond):
@@ -336,7 +355,10 @@ def train_qnn(
 ) -> tuple[QnnModel, list[EpochRecord]]:
     """Full-batch Adam from the model's parameters; one history record per epoch.
 
-    The caller's model is left unchanged. A model without parameters is
+    After each step one `qnn_scores` call scores the train and validation
+    rows together, stacked once up front: a row scores bit-identically in
+    any row block, so the record is the one two calls would give. The
+    caller's model is left unchanged. A model without parameters is
     refused by the first `qnn_scores` call, with a ValueError.
     """
     if epochs < 1:
@@ -344,14 +366,15 @@ def train_qnn(
     if train.n_samples == 0 or val.n_samples == 0:
         raise ValueError("train and validation sets must be non-empty")
     adam = AdamState.fresh(model.n_params, learning_rate)
+    both, n = np.concatenate([train.values, val.values]), train.n_samples
 
     history: list[EpochRecord] = []
     for _ in range(epochs):
         grads = parameter_shift_grad(model, train.values, train.labels)
         adam, new_params = adam_step(adam, model.params, grads)
         model = replace(model, params=new_params)
-        train_scores = qnn_scores(model, train.values)
-        history.append(epoch_record(train, train_scores, val, qnn_scores(model, val.values)))
+        scores = qnn_scores(model, both)
+        history.append(epoch_record(train, scores[:n], val, scores[n:]))
     return model, history
 
 

@@ -9,8 +9,8 @@ import pytest
 from helpers import layering_oracle
 
 import qmlrobust
-from qmlrobust.cli import main, parse_cli, read_config_file
-from qmlrobust.experiment import load_report_json
+from qmlrobust.cli import build_parser, main, parse_cli, read_config_file
+from qmlrobust.experiment import ExperimentConfig, load_report_json
 from qmlrobust.qnn import build_model_circuit, load_qnn
 
 
@@ -132,6 +132,46 @@ def test_config_file_accepts_other_subcommands_fields(tmp_path):
     config.write_text("data_path = d.csv\nepochs = 3\nseed = 4\n")
     _, cfg, _ = parse_cli(["attack", "--config", str(config), "--input", "r.csv"])
     assert (cfg.data_path, cfg.epochs, cfg.seed) == ("d.csv", 3, 4)
+
+
+def test_config_values_do_not_leak_into_the_next_parse(tmp_path):
+    # the parser is built once per process; a config file read by one call
+    # must not become a default of the next
+    config = tmp_path / "exp.cfg"
+    config.write_text("data_path = from_file.csv\nseed = 9\nepsilon = 0.25\n")
+    _, cfg, args = parse_cli(["run", "--config", str(config)])
+    assert (cfg.data_path, cfg.seed, cfg.epsilon) == ("from_file.csv", 9, 0.25)
+    assert args.config == str(config)
+    _, cfg, args = parse_cli(["run", "--data-path", "d.csv"])
+    assert cfg == ExperimentConfig(data_path="d.csv")
+    assert args.config is None and args.seed is None
+
+
+def test_usage_error_then_valid_parse_in_one_process(capsys):
+    for argv in (["run", "--data-path", "d.csv", "--turbo"], ["run"], []):
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(argv)
+        assert exc.value.code == 2
+        command, cfg, _ = parse_cli(["attack", "--input", "r.csv", "--seed", "3"])
+        assert (command, cfg.seed) == ("attack", 3)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["run", "preprocess", "attack", "evaluate", "report"])
+def test_help_text_matches_a_freshly_built_parser(capsys, command):
+    parse_cli(["run", "--data-path", "d.csv", "--seed", "7"])  # the shared parser has parsed
+    fresh = build_parser.__wrapped__()
+    expected = {}
+    for parser, argv in ((fresh, []), (fresh, [command])):
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, "--help"])
+        expected[tuple(argv)] = capsys.readouterr().out
+    for argv in ([], [command]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected[tuple(argv)]
+    assert expected[(command,)].startswith(f"usage: qmlrobust {command} [-h]")
 
 
 # --- execution ----------------------------------------------------------------
@@ -273,6 +313,22 @@ def test_evaluate_truncated_checkpoint_names_file(synth_csv, tmp_path, capsys):
     assert main(["evaluate", "--checkpoint", str(checkpoint), "--input", str(reduced)]) == 1
     err = capsys.readouterr().err
     assert f"{checkpoint}: expected 6 parameters" in err and "found 2" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_evaluate_non_finite_checkpoint_names_file_and_line(synth_csv, tmp_path, capsys, value):
+    # a NaN score is never >= 0, so a NaN checkpoint would call every row negative
+    reduced = tmp_path / "reduced.csv"
+    assert main(
+        ["preprocess", "--data-path", str(synth_csv), "--seed", "5",
+         "--pca-components", "2", "--output", str(reduced)]
+    ) == 0
+    checkpoint = tmp_path / "qnn_model.txt"
+    checkpoint.write_text(f"qnn 2 1 1\n0.5\n{value}\n")
+    assert main(["evaluate", "--checkpoint", str(checkpoint), "--input", str(reduced)]) == 1
+    out, err = capsys.readouterr()
+    assert f"{checkpoint}:3: parameter must be finite, found {value!r}" in err
+    assert "confusion" not in out
 
 
 def test_evaluate_width_mismatch_names_both_files(synth_csv, tmp_path, capsys):

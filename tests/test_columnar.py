@@ -354,8 +354,23 @@ def test_reduced_csv_skips_blank_lines_and_counts_them(tmp_path):
         ("0.1,0.2,1,holdout", "0.1,0.2,0,test", "split must be one of .*, found 'holdout'"),
         ("0.1,0.2,1,holdout", "0.1,x,1,test", "split must be one of .*, found 'holdout'"),
         ("0.1,x,1,test", "0.1,0.2,1,holdout", "could not convert string to float: 'x'"),
+        ("0.1,0.2,1,holdout", "0.1,nan,1,test", "split must be one of .*, found 'holdout'"),
+        ("0.1,0.2,1,holdout", "x,inf,1,test", "split must be one of .*, found 'holdout'"),
+        ("0.1,-inf,1,test", "0.1,0.2,1,holdout", "feature must be finite, found -inf"),
+        ("0.1,inf,1,test", "x,0.2,1,test", "feature must be finite, found inf"),
+        ("nan,0.2,1,test", "x,0.2,1,test", "feature must be finite, found nan"),
     ],
-    ids=["label-then-split", "split-then-label", "split-then-feature", "feature-then-split"],
+    ids=[
+        "label-then-split",
+        "split-then-label",
+        "split-then-feature",
+        "feature-then-split",
+        "split-then-non-finite",
+        "split-then-non-finite-among-text",
+        "non-finite-then-split",
+        "non-finite-then-text",
+        "non-finite-then-text-in-one-column",
+    ],
 )
 def test_reduced_csv_names_the_first_bad_record_across_columns(tmp_path, line4, line5, problem):
     path = tmp_path / "reduced.csv"

@@ -263,6 +263,9 @@ def test_reduced_csv_round_trip_exact(tmp_path):
         ("0.5,oops,1,train", "could not convert"),
         ("0.5,0.25,0,train", "label must be -1 or 1, found 0.0"),
         ("0.5,0.25,1,holdout", "split must be one of train, val, test, finetune, found 'holdout'"),
+        ("0.5,nan,1,train", "feature must be finite, found nan"),
+        ("inf,0.25,1,train", "feature must be finite, found inf"),
+        ("0.5,-inf,1,train", "feature must be finite, found -inf"),
     ],
 )
 def test_reduced_csv_bad_row_names_path_and_line(tmp_path, row, problem):

@@ -110,6 +110,19 @@ def test_confusion_length_mismatch_and_empty():
         confusion([], [])
 
 
+def test_float_labels_are_accepted():
+    labels, scores = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0.9, -0.2, -0.8, 0.1])
+    assert confusion(labels, scores) == ConfusionMatrix(tp=1, fp=1, fn=1, tn=1)
+    assert roc_curve(labels, scores).auc == roc_curve(labels.astype(int), scores).auc
+
+
+@pytest.mark.parametrize("bad", [0, 2, np.nan])
+@pytest.mark.parametrize("evaluate", [confusion, roc_curve, pr_curve])
+def test_labels_off_plus_minus_one_are_refused(evaluate, bad):
+    with pytest.raises(ValueError, match="labels must all be -1 or \\+1"):
+        evaluate(np.array([1.0, bad, -1.0]), np.array([0.5, 0.1, -0.5]))
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 40))
 def test_confusion_partitions_sample_count(seed, n):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import qmlrobust
 from qmlrobust.data import FeatureMatrix
-from qmlrobust.optim import EPS_STABILIZER, AdamState, adam_step, mean_hinge_loss
+from qmlrobust.optim import EPS_STABILIZER, AdamState, adam_step, epoch_record, mean_hinge_loss
 from qmlrobust.qnn import (
     QnnModel,
     _block_rows,
@@ -220,6 +220,17 @@ def test_hinge_invalid_label():
         mean_hinge_loss([1, 2], [0.5, 0.5])
 
 
+def test_hinge_accepts_float_labels():
+    assert mean_hinge_loss(np.array([1.0, -1.0]), np.array([1.0, -1.0])) == 0.0
+    assert mean_hinge_loss(np.array([-1.0]), np.array([0.5])) == 1.5
+
+
+@pytest.mark.parametrize("bad", [0, 2, np.nan])
+def test_hinge_refuses_labels_off_plus_minus_one(bad):
+    with pytest.raises(ValueError, match="labels must all be -1 or \\+1"):
+        mean_hinge_loss(np.array([1.0, bad, -1.0]), np.zeros(3))
+
+
 @settings(max_examples=50, deadline=None)
 @given(y=st.sampled_from([-1, 1]), score=st.floats(-5, 5, allow_nan=False))
 def test_hinge_floor(y, score):
@@ -328,6 +339,18 @@ def test_adjoint_gradient_matches_central_differences(problem):
             shifted.append(weight @ qnn_scores(replace(model, params=params), X))
         fd[j] = (shifted[0] - shifted[1]) / (2 * step)
     assert np.max(np.abs(parameter_shift_grad(model, X, y) - fd)) <= 1e-8
+
+
+# the narrowest widths, where the stacked sweep of `_grad` has zero, one or
+# two steps, with the readout at either end
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("n, readout", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)])
+def test_narrow_adjoint_gradient_matches_weighted_shift_rule(n, readout, layers):
+    model, X, y = wide_problem(n, layers, readout, rows=4)
+    weight = hinge_weights(model, X, y)
+    assert np.any(weight)
+    expected = sum(w * qnn_score_grad(model, x) for w, x in zip(weight, X) if w)
+    assert np.max(np.abs(parameter_shift_grad(model, X, y) - expected)) <= 1e-12
 
 
 # widths past what `random_problems` draws, up to bond 8 (4 layers)
@@ -537,6 +560,40 @@ def test_learns_separable_two_feature_data():
     assert history[-1].val_accuracy >= 0.9
 
 
+def train_with_separate_score_calls(model, train, val, epochs, learning_rate=0.01):
+    """`train_qnn` as a loop that scores train and validation in two calls after each step."""
+    adam = AdamState.fresh(model.n_params, learning_rate)
+    history = []
+    for _ in range(epochs):
+        grads = parameter_shift_grad(model, train.values, train.labels)
+        adam, params = adam_step(adam, model.params, grads)
+        model = replace(model, params=params)
+        train_scores = qnn_scores(model, train.values)
+        history.append(epoch_record(train, train_scores, val, qnn_scores(model, val.values)))
+    return model, history
+
+
+@pytest.mark.parametrize(
+    "n, layers, n_train, n_val, epochs",
+    [(8, 2, 144, 48, 4), (1, 1, 30, 11, 4), (16, 3, 150, 60, 2)],
+    ids=["vqc-train-shape", "one-qubit", "across-row-blocks"],
+)
+def test_training_matches_separate_score_calls_bit_for_bit(n, layers, n_train, n_val, epochs):
+    rng = np.random.default_rng([n, layers])
+    train = FeatureMatrix(rng.uniform(0, 1, (n_train, n)), rng.choice([-1, 1], n_train))
+    val = FeatureMatrix(rng.uniform(0, 1, (n_val, n)), rng.choice([-1, 1], n_val))
+    model = QnnModel(n, layers)
+    model = replace(model, params=init_params(model, seed=n))
+    if n == 16:
+        # the stacked rows span two row blocks, and the second holds train and validation rows
+        step = _block_rows(n, layers)
+        assert step < n_train < n_train + n_val <= 2 * step
+    trained, history = train_qnn(model, train, val, epochs)
+    expected, expected_history = train_with_separate_score_calls(model, train, val, epochs)
+    assert trained.params.tobytes() == expected.params.tobytes()
+    assert history == expected_history
+
+
 def test_training_deterministic_given_seed():
     rng = np.random.default_rng(1)
     values = rng.uniform(0, 1, size=(30, 2))
@@ -570,6 +627,17 @@ def test_checkpoint_wrong_value_count_names_path_and_counts(tmp_path, extra):
     lines = lines[:extra] if extra < 0 else lines + ["0.0"]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"{path.name}: expected 6 parameters .* found {6 + extra}"):
+        load_qnn(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("line", [2, 3])
+def test_checkpoint_non_finite_value_names_path_and_line(tmp_path, value, line):
+    path = tmp_path / "qnn.txt"
+    params = ["0.5", "0.5"]
+    params[line - 2] = value
+    path.write_text("qnn 2 1 1\n" + "\n".join(params) + "\n")
+    with pytest.raises(ValueError, match=rf"{path.name}:{line}: parameter must be finite, found '{value}'"):
         load_qnn(path)
 
 
