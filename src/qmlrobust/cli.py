@@ -52,7 +52,7 @@ def read_config_file(path: str | Path) -> dict[str, object]:
     field's type; otherwise the error names the file, the line and the key.
     """
     values: dict[str, object] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue

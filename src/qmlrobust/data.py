@@ -94,14 +94,15 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
     """Parse a plain comma-separated file: header line, then one sample per line.
 
     Cells are parsed as numbers where possible and kept as categorical text
-    otherwise. Empty cells are an error (no imputation). Blank lines are
-    skipped. An error names the file line on which the bad record ends, as
-    `csv.reader.line_num` counts it, so quoted cells that span lines count.
+    otherwise. Empty cells are an error (no imputation). Blank lines and a
+    UTF-8 byte-order mark are skipped. An error names the file line on which
+    the bad record ends, as `csv.reader.line_num` counts it, so quoted cells
+    that span lines count.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -149,7 +150,7 @@ def line_of(path: str | Path, row: int) -> int:
     does; only error paths call it, so the chunked read keeps no line
     number per record.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for _ in islice(filter(None, reader), row + 1):
@@ -204,7 +205,7 @@ def encode_and_normalize(raw: RawDataset) -> FeatureMatrix:
     values = np.empty((n, len(feature_cols)))
     for out_j, j in enumerate(feature_cols):
         values[:, out_j] = _encode_column(raw.columns[j], raw.column_names[j])
-    values = _minmax_scale(values)
+    scale_to_unit(values, values.min(axis=0), values.max(axis=0))
 
     labels = _encode_labels(raw.columns[label_j], raw.label_column)
     return FeatureMatrix(values=values, labels=labels)
@@ -227,14 +228,13 @@ def _encode_column(column: np.ndarray | list[float | str], name: str) -> np.ndar
     return out
 
 
-def _minmax_scale(values: np.ndarray) -> np.ndarray:
-    """(values - min) / span per column, in place; a constant column becomes +0.0.
+def scale_to_unit(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(values - lo) / (hi - lo) per column, in place; a column with hi == lo becomes +0.0.
 
-    The constant columns are zeroed after the division, not left at
-    (v - min) / 1, because -0.0 - 0.0 is -0.0 and would change the bytes.
+    Those columns are zeroed after the division, not left at (v - lo) / 1,
+    because -0.0 - 0.0 is -0.0 and would change the bytes.
     """
-    lo = values.min(axis=0)
-    span = values.max(axis=0) - lo
+    span = hi - lo
     live = span > 0
     values -= lo
     values /= np.where(live, span, 1.0)

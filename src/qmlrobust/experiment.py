@@ -88,14 +88,14 @@ class ExperimentConfig:
             problems.append("seed must be >= 0")
         if self.pca_components < 1:
             problems.append("pca-components must be >= 1")
-        if self.epsilon < 0:
-            problems.append("epsilon must be >= 0")
+        if not 0 <= self.epsilon < math.inf:  # also refuses nan
+            problems.append("epsilon must be finite and >= 0")
         if not 0 < self.perturb_fraction <= 1:
             problems.append("perturb-fraction must be in (0, 1]")
         if self.epochs < 1:
             problems.append("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            problems.append("learning-rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            problems.append("learning-rate must be finite and > 0")
         if self.qnn_layers < 1:
             problems.append("qnn-layers must be >= 1")
         if not self.mlp_hidden or any(w < 1 for w in self.mlp_hidden):

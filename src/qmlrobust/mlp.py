@@ -8,6 +8,8 @@ heads through one loop.
 **Layout.** As in `QnnModel`, the parameters are one flat `params` vector,
 in checkpoint order: per layer, the weights W (out, in) row-major, then the
 biases b (out). `_layers` views a parameter or gradient vector as (W, b)s.
+The activations are the only cache between the passes: a rectifier's input
+is positive exactly where its output is, so backprop reads its mask off them.
 """
 from __future__ import annotations
 
@@ -65,14 +67,16 @@ def init_mlp(layer_sizes: list[int], seed: int) -> MlpModel:
     return MlpModel(layer_sizes=list(layer_sizes), params=np.concatenate(draws))
 
 
-def _forward_cached(model: MlpModel, X: np.ndarray):
-    """Forward pass keeping pre-activations for backprop. Returns (scores, hs, zs)."""
-    hs, zs = [X], []
-    for W, b in _layers(model.layer_sizes, model.params):
-        zs.append(hs[-1] @ W.T + b)
-        hs.append(np.maximum(zs[-1], 0.0))
-    hs[-1] = np.tanh(zs[-1])  # the output unit is tanh, not a rectifier
-    return hs[-1][:, 0], hs, zs
+def _forward(model: MlpModel, X: np.ndarray) -> list[np.ndarray]:
+    """Activations [X, h1, ..., out]: each layer's fresh pre-activation, activated in
+    place (rectifier on hidden layers, tanh on the output unit); X is never written to."""
+    hs = [X]
+    layers = _layers(model.layer_sizes, model.params)
+    for depth, (W, b) in enumerate(layers, start=1):
+        z = hs[-1] @ W.T
+        z += b
+        hs.append(np.tanh(z, out=z) if depth == len(layers) else np.maximum(z, 0.0, out=z))
+    return hs
 
 
 def mlp_scores(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -80,7 +84,7 @@ def mlp_scores(model: MlpModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_inputs:
         raise ValueError(f"expected (batch, {model.n_inputs}) features, got {X.shape}")
-    return _forward_cached(model, X)[0]
+    return _forward(model, X)[-1][:, 0]
 
 
 def mlp_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -93,14 +97,13 @@ def mlp_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    return _backprop(model, y, *_forward_cached(model, X))
+    return _backprop(model, y, _forward(model, X))
 
 
-def _backprop(
-    model: MlpModel, y: np.ndarray, scores: np.ndarray, hs: list[np.ndarray], zs: list[np.ndarray]
-) -> np.ndarray:
-    """Backward pass of `mlp_gradients` from a `_forward_cached` result."""
+def _backprop(model: MlpModel, y: np.ndarray, hs: list[np.ndarray]) -> np.ndarray:
+    """Backward pass of `mlp_gradients` from `_forward`'s activations; masks by h > 0."""
     # d(mean hinge)/d(score), then through tanh
+    scores = hs[-1][:, 0]
     dscore = hinge_weights(y, scores)
     delta = (dscore * (1.0 - scores**2))[:, None]
 
@@ -110,7 +113,7 @@ def _backprop(
         np.matmul(delta.T, hs[l], out=gW)
         delta.sum(axis=0, out=gb)
         if l > 0:
-            delta = (delta @ weights[l][0]) * (zs[l - 1] > 0.0)
+            delta = (delta @ weights[l][0]) * (hs[l] > 0.0)
     return grads
 
 
@@ -133,14 +136,14 @@ def train_mlp(
 
     history: list[EpochRecord] = []
     # the post-step forward pass gives this epoch's train loss and the next gradient
-    forward = _forward_cached(model, train.values)
+    hs = _forward(model, train.values)
     for _ in range(epochs):
-        grads = _backprop(model, train.labels, *forward)
-        del forward  # free these activations before the next pass allocates its own
+        grads = _backprop(model, train.labels, hs)
+        del hs  # free these activations before the next pass allocates its own
         adam, new_params = adam_step(adam, model.params, grads)
         model = replace(model, params=new_params)
-        forward = _forward_cached(model, train.values)
-        history.append(epoch_record(train, forward[0], val, mlp_scores(model, val.values)))
+        hs = _forward(model, train.values)
+        history.append(epoch_record(train, hs[-1][:, 0], val, mlp_scores(model, val.values)))
     return model, history
 
 

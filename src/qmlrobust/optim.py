@@ -95,7 +95,7 @@ def load_checkpoint(path: str | Path, kind: str) -> tuple[list[int], np.ndarray]
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     head = lines[0].split() if lines else []
-    if head[:1] != [kind] or not all(v.isdigit() for v in head[1:]):
+    if head[:1] != [kind] or not all(v.isdecimal() for v in head[1:]):
         raise ValueError(f"{path}: expected a '{kind} <sizes>' header, found {' '.join(head)!r}")
     try:
         params = np.asarray([float(v) for v in lines[1:]])

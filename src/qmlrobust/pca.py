@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix
+from .data import FeatureMatrix, scale_to_unit
 
 
 @dataclass
@@ -69,9 +69,5 @@ def project(model: PcaModel, values: np.ndarray) -> np.ndarray:
 
 def transform_pca(model: PcaModel, data: FeatureMatrix) -> FeatureMatrix:
     """Project, rescale each coordinate to [0,1] by training range, clip, keep labels."""
-    proj = project(model, data.values)
-    span = model.proj_max - model.proj_min
-    scaled = np.zeros_like(proj)
-    live = span > 0
-    scaled[:, live] = (proj[:, live] - model.proj_min[live]) / span[live]
-    return FeatureMatrix(values=np.clip(scaled, 0.0, 1.0), labels=data.labels.copy())
+    scaled = scale_to_unit(project(model, data.values), model.proj_min, model.proj_max)
+    return FeatureMatrix(values=np.clip(scaled, 0.0, 1.0, out=scaled), labels=data.labels.copy())

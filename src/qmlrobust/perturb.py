@@ -17,8 +17,8 @@ class PerturbationConfig:
     fraction: float = 1.0  # portion of the target set to perturb
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:  # also refuses nan
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if not 0 < self.fraction <= 1:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
 

@@ -46,6 +46,29 @@ def test_negative_epsilon_names_the_flag(capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["epsilon", "learning_rate"])
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+def test_non_finite_epsilon_or_learning_rate_is_usage_error(tmp_path, capsys, source, name, value):
+    flag = name.replace("_", "-")
+    if source == "flag":
+        argv = ["run", "--data-path", "d.csv", f"--{flag}={value}"]  # "-inf" would read as a flag
+    else:
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"data_path = d.csv\n{name} = {value}\n")
+        argv = ["run", "--config", str(config)]
+    with pytest.raises(SystemExit) as exc:
+        parse_cli(argv)
+    assert exc.value.code == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+
+
+def test_config_file_with_byte_order_mark(tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text("seed = 9\nepochs = 3\n", encoding="utf-8-sig")
+    assert read_config_file(config) == {"seed": 9, "epochs": 3}
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         parse_cli(["run", "--data-path", "d.csv", "--turbo"])

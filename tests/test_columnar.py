@@ -324,6 +324,15 @@ def test_reduced_csv_matches_csv_writer(tmp_path_factory, seed, chunk_rows):
     np.testing.assert_array_equal(names_again, names.astype(str))
 
 
+def test_reduced_csv_with_byte_order_mark(tmp_path):
+    path = tmp_path / "reduced.csv"
+    path.write_text("pc1,label,split\n0.25,-1,test\n0.5,1,val\n", encoding="utf-8-sig")
+    data, names = read_reduced_csv(path)
+    np.testing.assert_array_equal(data.values, [[0.25], [0.5]])
+    np.testing.assert_array_equal(data.labels, [-1, 1])
+    np.testing.assert_array_equal(names, ["test", "val"])
+
+
 def test_reduced_csv_header_only_names_the_path(tmp_path):
     path = tmp_path / "reduced.csv"
     path.write_text("pc1,pc2,label,split\n")

@@ -39,6 +39,17 @@ def test_rows_view_matches_parsed_rows(tmp_path):
     assert all(type(cell) is float for cell in raw.rows[1][::2])
 
 
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("class,a\n1,0.5\n0,0.25\n0,x\n", encoding="utf-8-sig")
+    raw = load_csv(path, "class")
+    assert raw.column_names == ["class", "a"]
+    np.testing.assert_array_equal(raw.columns[0], [1.0, 0.0, 0.0])
+    path.write_text("class,a\n1,0.5\n0\n", encoding="utf-8-sig")
+    with pytest.raises(ValueError, match=r"data.csv:3: expected 2 cells, got 1"):
+        load_csv(path, "class")
+
+
 def test_load_header_only_is_error(tmp_path):
     path = write(tmp_path, "a,b,class\n")
     with pytest.raises(ValueError, match="no samples"):

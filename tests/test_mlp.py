@@ -6,7 +6,7 @@ import pytest
 from qmlrobust.data import FeatureMatrix
 from qmlrobust.mlp import (
     MlpModel,
-    _forward_cached,
+    _forward,
     _layers,
     init_mlp,
     load_mlp,
@@ -15,7 +15,7 @@ from qmlrobust.mlp import (
     save_mlp,
     train_mlp,
 )
-from qmlrobust.optim import mean_hinge_loss
+from qmlrobust.optim import AdamState, adam_step, epoch_record, hinge_weights, mean_hinge_loss
 
 
 def zero_model(sizes):
@@ -42,12 +42,44 @@ def clean_instance(rng, widths=(4, 6, 3, 1), batch=8):
         model = init_mlp(list(widths), seed=int(rng.integers(1 << 30)))
         X = rng.uniform(0, 1, size=(batch, widths[0]))
         y = rng.choice([-1, 1], size=batch)
-        scores, hs, zs = _forward_cached(model, X)
-        if np.any(np.abs(y * scores - 1.0) < 1e-3):
+        hs = _forward(model, X)
+        if np.any(np.abs(y * hs[-1][:, 0] - 1.0) < 1e-3):
             continue
-        if any(np.any(np.abs(z) < 1e-4) for z in zs[:-1]):
+        hidden = _layers(model.layer_sizes, model.params)[:-1]
+        if any(np.any(np.abs(h @ W.T + b) < 1e-4) for h, (W, b) in zip(hs, hidden)):
             continue
         return model, X, y
+
+
+def reference_gradients(model, X, y):
+    """Backprop that keeps every pre-activation z and masks the rectifier by z > 0."""
+    layers = _layers(model.layer_sizes, model.params)
+    hs, zs = [X], []
+    for W, b in layers:
+        zs.append(hs[-1] @ W.T + b)
+        hs.append(np.maximum(zs[-1], 0.0))
+    scores = np.tanh(zs[-1])[:, 0]
+    delta = (hinge_weights(y, scores) * (1.0 - scores**2))[:, None]
+    grads = []
+    for l in reversed(range(len(layers))):
+        grads = [(delta.T @ hs[l]).ravel(), delta.sum(axis=0)] + grads
+        if l > 0:
+            delta = (delta @ layers[l][0]) * (zs[l - 1] > 0.0)
+    return np.concatenate(grads), scores
+
+
+def reference_train(model, train, val, epochs, learning_rate=0.01):
+    """`train_mlp` written on `reference_gradients`: full-batch Adam, one record per epoch."""
+    adam = AdamState.fresh(model.n_params, learning_rate)
+    params, history = model.params, []
+    for _ in range(epochs):
+        grads, _ = reference_gradients(replace(model, params=params), train.values, train.labels)
+        adam, params = adam_step(adam, params, grads)
+        stepped = replace(model, params=params)
+        _, train_scores = reference_gradients(stepped, train.values, train.labels)
+        _, val_scores = reference_gradients(stepped, val.values, val.labels)
+        history.append(epoch_record(train, train_scores, val, val_scores))
+    return params, history
 
 
 # --- forward ---------------------------------------------------------------
@@ -132,6 +164,30 @@ def test_batch_permutation_invariance():
     assert np.max(np.abs(g_a - g_b)) < 1e-12
 
 
+def test_gradient_at_exact_zero_pre_activation_matches_reference():
+    # zero first-layer weights and biases: every first-layer pre-activation is exactly 0
+    rng = np.random.default_rng(12)
+    model = init_mlp([3, 5, 4, 1], seed=7)
+    model.params[: 5 * 3 + 5] = 0.0
+    X = rng.uniform(0, 1, size=(9, 3))
+    y = rng.choice([-1, 1], size=9)
+    assert not np.any(_forward(model, X)[1])
+    grads = mlp_gradients(model, X, y)
+    assert grads.tobytes() == reference_gradients(model, X, y)[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [mlp_scores, lambda m, X: mlp_gradients(m, X, np.ones(len(X)))],
+    ids=["scores", "gradients"],
+)
+def test_forward_leaves_input_unchanged(call):
+    X = np.random.default_rng(14).uniform(-1, 1, size=(12, 4))
+    before = X.copy()
+    call(init_mlp([4, 6, 3, 1], seed=2), X)
+    assert X.tobytes() == before.tobytes()
+
+
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
         mlp_gradients(zero_model([2, 1]), np.zeros((0, 2)), np.zeros(0))
@@ -157,6 +213,19 @@ def test_learns_separable_two_feature_data():
     val = FeatureMatrix(values[140:], labels[140:])
     _, history = train_mlp(init_mlp([2, 32, 16, 1], seed=4), train, val, epochs=100)
     assert history[-1].val_accuracy >= 0.95
+
+
+@pytest.mark.parametrize("sizes", [[2, 32, 16, 1], [5, 1]], ids=["tabular-ingest", "one-layer"])
+def test_training_matches_pre_activation_reference_bytes(sizes):
+    rng = np.random.default_rng(15)
+    values = rng.uniform(0, 1, size=(300, sizes[0]))
+    labels = np.where(values.sum(axis=1) + 0.2 * rng.standard_normal(300) > sizes[0] / 2, 1, -1)
+    train, val = FeatureMatrix(values[:240], labels[:240]), FeatureMatrix(values[240:], labels[240:])
+    model = init_mlp(sizes, seed=3)
+    trained, history = train_mlp(model, train, val, epochs=20)
+    params, expected = reference_train(model, train, val, epochs=20)
+    assert trained.params.tobytes() == params.tobytes()
+    assert repr(history) == repr(expected)
 
 
 def test_identical_seeds_identical_weights():
@@ -223,6 +292,7 @@ BAD_HEADERS = {
     "mlp 2 x 1": "expected a 'mlp <sizes>' header, found 'mlp 2 x 1'",
     "mlp 2 3 2": r"layer sizes \[2, 3, 2\] must hold >= 2 positive widths and end in 1",
     "qnn 2 1 1": "expected a 'mlp <sizes>' header, found 'qnn 2 1 1'",
+    "mlp \u2460 1": "expected a 'mlp <sizes>' header, found 'mlp \u2460 1'",  # circled digit one
 }
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmlrobust.data import FeatureMatrix
-from qmlrobust.pca import fit_pca, project, transform_pca
+from qmlrobust.pca import PcaModel, fit_pca, project, transform_pca
 
 
 def matrix(values, labels=None):
@@ -155,6 +155,14 @@ def test_transform_clips_out_of_range_rows():
     wild = matrix(rng.uniform(-5, 5, size=(10, 4)))
     out = transform_pca(model, wild)
     assert np.all((out.values >= 0) & (out.values <= 1))
+
+
+def test_transform_maps_a_zero_span_component_to_positive_zero():
+    # the second component saw one training value, so it has no range to rescale by
+    lo, hi = np.array([-2.0, 0.5]), np.array([2.0, 0.5])
+    model = PcaModel(mean=np.zeros(2), components=np.eye(2), proj_min=lo, proj_max=hi)
+    out = transform_pca(model, matrix([[-1.0, -0.0], [0.0, 3.0], [5.0, -7.0]]))
+    assert out.values.tobytes() == np.array([[0.25, 0.0], [0.5, 0.0], [1.0, 0.0]]).tobytes()
 
 
 def test_transform_dimension_mismatch():

@@ -121,8 +121,9 @@ def test_output_always_clipped_to_unit_box(eps, fraction, seed):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PerturbationConfig(epsilon=-0.1, seed=0)
+    for epsilon in (-0.1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            PerturbationConfig(epsilon=epsilon, seed=0)
     with pytest.raises(ValueError):
         PerturbationConfig(epsilon=0.1, seed=0, fraction=0.0)
     with pytest.raises(ValueError):

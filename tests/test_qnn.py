@@ -642,7 +642,15 @@ def test_checkpoint_non_finite_value_names_path_and_line(tmp_path, value, line):
 
 
 @pytest.mark.parametrize(
-    "text", ["", "qnn 2 1\n0\n0\n", "qnn 2 x 1\n0\n0\n", "qnn 2 1 5\n0\n0\n", "qnn 1 1 0\nabc\n"]
+    "text",
+    [
+        "",
+        "qnn 2 1\n0\n0\n",
+        "qnn 2 x 1\n0\n0\n",
+        "qnn \u00b2 1 0\n0\n0\n",  # a superscript two: a digit, but not a decimal one
+        "qnn 2 1 5\n0\n0\n",
+        "qnn 1 1 0\nabc\n",
+    ],
 )
 def test_checkpoint_bad_header_or_value_names_path(tmp_path, text):
     path = tmp_path / "qnn.txt"
