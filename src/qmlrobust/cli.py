@@ -36,11 +36,11 @@ from .experiment import (
     reduce_dataset,
     run_pipeline,
     save_report_json,
-    split_name_column,
     write_reduced_csv,
 )
 from .metrics import confusion, scalar_metrics
 from .mlp import load_mlp, mlp_scores, save_mlp
+from .optim import checkpoint_kind
 from .perturb import build_adversarial_set
 from .qnn import load_qnn, qnn_scores, save_qnn
 
@@ -144,13 +144,13 @@ def parse_cli(argv: list[str]) -> tuple[str, ExperimentConfig, argparse.Namespac
 
 
 def _cmd_run(cfg: ExperimentConfig, args) -> None:
-    artifacts = run_pipeline(cfg)
+    report, models = run_pipeline(cfg)
     out = Path(cfg.output_dir)
-    emit_report(artifacts.report, out)
+    emit_report(report, out)
     for model, save in (("nn", save_mlp), ("qnn", save_qnn)):
-        save(artifacts.models[model], out / f"{model}_model.txt")
-    save_report_json(artifacts.report, out / "report.json")
-    for title, table in (("before", artifacts.report.before), ("after", artifacts.report.after)):
+        save(models[model], out / f"{model}_model.txt")
+    save_report_json(report, out / "report.json")
+    for title, table in (("before", report.before), ("after", report.after)):
         for model in MODELS:
             s = table[model]
             print(
@@ -161,44 +161,46 @@ def _cmd_run(cfg: ExperimentConfig, args) -> None:
 
 
 def _cmd_preprocess(cfg: ExperimentConfig, args) -> None:
-    reduced, splits = reduce_dataset(cfg)
-    names = split_name_column(splits, reduced.n_samples)
+    reduced, names = reduce_dataset(cfg)
     write_reduced_csv(reduced, names, args.output)
     print(f"wrote {reduced.n_samples} rows x {reduced.n_features} components to {args.output}")
 
 
+def _split_rows(names: np.ndarray, split: str) -> np.ndarray:
+    """Mask of the rows whose split name is `split`; an error if there are none."""
+    rows = names == split
+    if not rows.any():
+        raise ValueError(f"no rows in split {split!r}")
+    return rows
+
+
 def _cmd_attack(cfg: ExperimentConfig, args) -> None:
     data, names = read_reduced_csv(args.input)
-    rows = np.nonzero(names == args.target_split)[0]
-    if rows.size == 0:
-        raise ValueError(f"no rows in split {args.target_split!r}")
-    adv, hit = build_adversarial_set(subset(data, rows), cfg.perturbation(args.target_split))
+    split = args.target_split
+    rows = _split_rows(names, split)
+    adv, hit = build_adversarial_set(subset(data, rows), cfg.perturbation(split))
     values = data.values.copy()
     values[rows] = adv.values
     write_reduced_csv(FeatureMatrix(values=values, labels=data.labels), names, args.output)
-    print(f"perturbed {hit.size}/{rows.size} rows of split {args.target_split!r} -> {args.output}")
+    print(f"perturbed {hit.size}/{adv.n_samples} rows of split {split!r} -> {args.output}")
 
 
 def _load_checkpoint(path: str):
     """(input width, batch score function) of a qnn or mlp checkpoint."""
-    with open(path, encoding="utf-8") as fh:
-        head = fh.readline().split()
-    if head and head[0] == "qnn":
+    kind = checkpoint_kind(path)
+    if kind == "qnn":
         model = load_qnn(path)
         return model.n_qubits, lambda X: qnn_scores(model, X)
-    if head and head[0] == "mlp":
+    if kind == "mlp":
         model = load_mlp(path)
         return model.n_inputs, lambda X: mlp_scores(model, X)
-    raise ValueError(f"{path}: unrecognized checkpoint header {head[:1]}")
+    raise ValueError(f"{path}: unrecognized checkpoint kind {kind!r}")
 
 
 def _cmd_evaluate(cfg: ExperimentConfig, args) -> None:
     data, names = read_reduced_csv(args.input)
     if args.split != "all":
-        rows = np.nonzero(names == args.split)[0]
-        if rows.size == 0:
-            raise ValueError(f"no rows in split {args.split!r}")
-        data = subset(data, rows)
+        data = subset(data, _split_rows(names, args.split))
     width, score_fn = _load_checkpoint(args.checkpoint)
     if width != data.n_features:
         raise ValueError(

@@ -11,7 +11,10 @@ CSV that `preprocess`, `attack` and `evaluate` exchange is read through
 The split layout follows the experiment protocol: 20% of the samples are
 held out for the fine-tune/attack set, and the remaining 80% is divided
 60/20/20 into train/validation/test. All sizes are floored, with the
-remainder going to train.
+remainder going to train. A split is each row's name, one of `SPLIT_NAMES`
+in that order (train, val, test, finetune); the same names are the split
+column of the reduced CSV, and a split's rows are `subset(data, names ==
+name)`, in file order.
 """
 from __future__ import annotations
 
@@ -28,6 +31,8 @@ import numpy as np
 FINETUNE_SHARE = 0.2
 VAL_SHARE = 0.2
 TEST_SHARE = 0.2
+# the split each row belongs to, in the order they are cut from the shuffle
+SPLIT_NAMES = ("train", "val", "test", "finetune")
 
 # records per chunk: bounds the str cells a chunk holds at once; 1024 rows
 # parsed as fast as 8192 and left less heap behind
@@ -80,14 +85,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass
-class DatasetSplits:
-    train_idx: np.ndarray
-    val_idx: np.ndarray
-    test_idx: np.ndarray
-    finetune_idx: np.ndarray
 
 
 def load_csv(path: str | Path, label_column: str) -> RawDataset:
@@ -257,11 +254,14 @@ def _encode_labels(column: np.ndarray | list[float | str], name: str) -> np.ndar
     return np.fromiter(map(mapping.__getitem__, column), dtype=int, count=len(column))
 
 
-def shuffle_and_split(data: FeatureMatrix, seed: int) -> DatasetSplits:
-    """Seeded permutation, then carve out finetune / train / val / test index sets.
+def shuffle_and_split(data: FeatureMatrix, seed: int) -> np.ndarray:
+    """Each row's split name: a seeded permutation cut into train / val / test / finetune.
 
-    The index sets are stored in ascending order; membership is what the
-    shuffle decides. Identical (data, seed) always give identical splits.
+    Returns an object array of `data.n_samples` names from `SPLIT_NAMES`:
+    the first `n_train` rows of the permutation are "train", the next
+    `n_val` "val", then `n_test` "test", and the rest "finetune". The
+    array holds references to the four `SPLIT_NAMES` strings, not a string
+    per row. Identical (data, seed) always give identical names.
     """
     n = data.n_samples
     if n < 10:
@@ -273,14 +273,12 @@ def shuffle_and_split(data: FeatureMatrix, seed: int) -> DatasetSplits:
     n_train = rest - n_val - n_test
 
     perm = np.random.default_rng(seed).permutation(n)
-    cuts = np.cumsum([n_train, n_val, n_test])
-    return DatasetSplits(
-        train_idx=np.sort(perm[: cuts[0]]),
-        val_idx=np.sort(perm[cuts[0] : cuts[1]]),
-        test_idx=np.sort(perm[cuts[1] : cuts[2]]),
-        finetune_idx=np.sort(perm[cuts[2] :]),
-    )
+    names = np.empty(n, dtype=object)
+    counts = [n_train, n_val, n_test, n_finetune]
+    names[perm] = np.repeat(np.array(SPLIT_NAMES, dtype=object), counts)
+    return names
 
 
-def subset(data: FeatureMatrix, idx: np.ndarray) -> FeatureMatrix:
-    return FeatureMatrix(values=data.values[idx].copy(), labels=data.labels[idx].copy())
+def subset(data: FeatureMatrix, rows: np.ndarray) -> FeatureMatrix:
+    """The rows an index array or a boolean mask selects, as a copy."""
+    return FeatureMatrix(values=data.values[rows], labels=data.labels[rows])

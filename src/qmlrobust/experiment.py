@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import (
     CHUNK_ROWS,
-    DatasetSplits,
+    SPLIT_NAMES,
     FeatureMatrix,
     encode_and_normalize,
     line_of,
@@ -50,8 +50,6 @@ from .qnn import QnnModel, init_params, qnn_scores, train_qnn
 EVALUATE_ONLY = "evaluate-only"
 FINETUNE = "finetune"
 FINETUNE_MODES = (EVALUATE_ONLY, FINETUNE)
-
-SPLIT_NAMES = ("train", "val", "test", "finetune")
 
 MODELS = ("nn", "qnn")
 SCENARIOS = ("clean", "perturbed")
@@ -144,12 +142,6 @@ class Report:
     histories: dict[str, list[EpochRecord]]
 
 
-@dataclass
-class PipelineArtifacts:
-    report: Report
-    models: dict[str, MlpModel | QnnModel]  # trained (and finetuned), keyed by MODELS
-
-
 @contextmanager
 def _stage(name: str):
     try:
@@ -158,19 +150,24 @@ def _stage(name: str):
         raise RuntimeError(f"stage '{name}' failed: {exc}") from exc
 
 
-def reduce_dataset(cfg: ExperimentConfig) -> tuple[FeatureMatrix, DatasetSplits]:
-    """load -> encode/normalize -> split -> PCA (fit on train, transform all)."""
+def reduce_dataset(cfg: ExperimentConfig) -> tuple[FeatureMatrix, np.ndarray]:
+    """load -> encode/normalize -> split -> PCA (fit on train, transform all).
+
+    Returns (reduced, names): every row PCA-reduced, in file order, and each
+    row's split name from `shuffle_and_split`, the pair `write_reduced_csv`
+    writes and `read_reduced_csv` returns.
+    """
     with _stage("load"):
         raw = load_csv(cfg.data_path, cfg.label_column)
     with _stage("encode"):
         features = encode_and_normalize(raw)
         del raw  # the parsed text columns are not needed past encoding
     with _stage("split"):
-        splits = shuffle_and_split(features, stage_seed(cfg.seed, "shuffle"))
+        names = shuffle_and_split(features, stage_seed(cfg.seed, "shuffle"))
     with _stage("pca"):
-        pca = fit_pca(subset(features, splits.train_idx), cfg.pca_components)
+        pca = fit_pca(subset(features, names == "train"), cfg.pca_components)
         reduced = transform_pca(pca, features)
-    return reduced, splits
+    return reduced, names
 
 
 def _evaluate(labels: np.ndarray, scores: np.ndarray):
@@ -180,13 +177,11 @@ def _evaluate(labels: np.ndarray, scores: np.ndarray):
     return cm, scalar_metrics(cm), curves
 
 
-def run_pipeline(cfg: ExperimentConfig) -> PipelineArtifacts:
+def run_pipeline(cfg: ExperimentConfig) -> tuple[Report, dict[str, MlpModel | QnnModel]]:
+    """(report, trained and finetuned models keyed by MODELS) of one configured run."""
     cfg.validate()
-    reduced, splits = reduce_dataset(cfg)
-    train = subset(reduced, splits.train_idx)
-    val = subset(reduced, splits.val_idx)
-    test = subset(reduced, splits.test_idx)
-    finetune = subset(reduced, splits.finetune_idx)
+    reduced, names = reduce_dataset(cfg)
+    train, val, test, finetune = (subset(reduced, names == name) for name in SPLIT_NAMES)
     k = cfg.pca_components
 
     # built per run, not at import: a function rebound on this module after
@@ -242,7 +237,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineArtifacts:
         curves={f"{m}_{s}_{kind}": c for (m, s), r in results.items() for kind, c in r[2].items()},
         histories=histories,
     )
-    return PipelineArtifacts(report=report, models=models)
+    return report, models
 
 
 # --- report emission ---------------------------------------------------
@@ -491,12 +486,3 @@ def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
         FeatureMatrix(values=np.column_stack(features), labels=np.where(labels > 0, 1, -1)),
         np.asarray(splits),
     )
-
-
-def split_name_column(splits: DatasetSplits, n: int) -> np.ndarray:
-    names = np.empty(n, dtype=object)
-    for name, idx in zip(
-        SPLIT_NAMES, (splits.train_idx, splits.val_idx, splits.test_idx, splits.finetune_idx)
-    ):
-        names[idx] = name
-    return names

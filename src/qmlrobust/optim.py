@@ -2,6 +2,7 @@
 the text checkpoint format, shared by both classifier heads. A checkpoint is
 a header line, the model kind and its integer sizes ("mlp 4 32 16 1"), then
 the model's flat `params`, one `.17e` value per line, so it reloads exactly.
+A UTF-8 byte-order mark before the header is skipped.
 """
 from __future__ import annotations
 
@@ -86,6 +87,12 @@ def save_checkpoint(path: str | Path, header: str, params: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def checkpoint_kind(path: str | Path) -> str:
+    """The first word of a checkpoint's header ("mlp", "qnn"), or "" when it has none."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return next(iter(fh.readline().split()), "")
+
+
 def load_checkpoint(path: str | Path, kind: str) -> tuple[list[int], np.ndarray]:
     """(header sizes, params) of a `save_checkpoint` file whose header starts with `kind`.
 
@@ -93,7 +100,7 @@ def load_checkpoint(path: str | Path, kind: str) -> tuple[list[int], np.ndarray]
     non-finite value its line; the caller's model checks the sizes and the
     count.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     head = lines[0].split() if lines else []
     if head[:1] != [kind] or not all(v.isdecimal() for v in head[1:]):
         raise ValueError(f"{path}: expected a '{kind} <sizes>' header, found {' '.join(head)!r}")

@@ -323,6 +323,49 @@ def test_evaluate_unknown_split_fails(synth_csv, tmp_path, capsys):
         ["evaluate", "--checkpoint", str(reduced), "--input", str(reduced), "--split", "nope"]
     )
     assert code == 1
+    assert capsys.readouterr().err == "error: no rows in split 'nope'\n"
+
+
+def test_attack_unknown_split_fails(synth_csv, tmp_path, capsys):
+    reduced = tmp_path / "reduced.csv"
+    assert main(
+        ["preprocess", "--data-path", str(synth_csv), "--seed", "5",
+         "--pca-components", "3", "--output", str(reduced)]
+    ) == 0
+    attacked = tmp_path / "attacked.csv"
+    code = main(
+        ["attack", "--input", str(reduced), "--target-split", "nope", "--output", str(attacked)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: no rows in split 'nope'\n"
+    assert not attacked.exists()
+
+
+def test_checkpoint_with_byte_order_mark_evaluates_like_the_original(synth_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(
+        ["run", "--data-path", str(synth_csv), "--output-dir", str(out), "--seed", "5",
+         "--pca-components", "3", "--epochs", "2", "--mlp-hidden", "8,4"]
+    ) == 0
+    reduced = tmp_path / "reduced.csv"
+    assert main(
+        ["preprocess", "--data-path", str(synth_csv), "--seed", "5",
+         "--pca-components", "3", "--output", str(reduced)]
+    ) == 0
+    capsys.readouterr()
+    for model in ("nn", "qnn"):
+        original = out / f"{model}_model.txt"
+        marked = tmp_path / f"{model}_bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        printed = []
+        for checkpoint in (original, marked):
+            result = tmp_path / f"{checkpoint.stem}.json"
+            assert main(
+                ["evaluate", "--checkpoint", str(checkpoint), "--input", str(reduced),
+                 "--output", str(result)]
+            ) == 0
+            printed.append((capsys.readouterr().out, result.read_bytes()))
+        assert printed[0] == printed[1]
 
 
 def test_evaluate_truncated_checkpoint_names_file(synth_csv, tmp_path, capsys):

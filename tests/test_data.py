@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import make_separable
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmlrobust.data import (
+    SPLIT_NAMES,
     FeatureMatrix,
     encode_and_normalize,
     load_csv,
@@ -175,29 +178,29 @@ def matrix(n, d=3, seed=0):
     return FeatureMatrix(values=rng.uniform(0, 1, size=(n, d)), labels=labels)
 
 
+def split_counts(names):
+    return {name: int(np.sum(names == name)) for name in SPLIT_NAMES}
+
+
 def test_split_sizes_full_scale():
-    splits = shuffle_and_split(matrix(5210), seed=7)
-    assert len(splits.finetune_idx) == 1042
-    assert len(splits.train_idx) + len(splits.val_idx) + len(splits.test_idx) == 4168
+    names = shuffle_and_split(matrix(5210), seed=7)
+    assert names.shape == (5210,) and names.dtype == object
+    assert split_counts(names) == {"train": 2502, "val": 833, "test": 833, "finetune": 1042}
 
 
 def test_split_sizes_hundred():
-    splits = shuffle_and_split(matrix(100), seed=0)
-    assert len(splits.finetune_idx) == 20
-    assert len(splits.val_idx) == 16
-    assert len(splits.test_idx) == 16
-    assert len(splits.train_idx) == 48
+    names = shuffle_and_split(matrix(100), seed=0)
+    assert split_counts(names) == {"train": 48, "val": 16, "test": 16, "finetune": 20}
+    # the splits are cut in SPLIT_NAMES order from the front of the seeded permutation
+    perm = np.random.default_rng(0).permutation(100)
+    expected = ["train"] * 48 + ["val"] * 16 + ["test"] * 16 + ["finetune"] * 20
+    assert names[perm].tolist() == expected
 
 
 def test_split_deterministic():
     data = matrix(500)
     a = shuffle_and_split(data, seed=123)
-    b = shuffle_and_split(data, seed=123)
-    for x, y in zip(
-        (a.train_idx, a.val_idx, a.test_idx, a.finetune_idx),
-        (b.train_idx, b.val_idx, b.test_idx, b.finetune_idx),
-    ):
-        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(a, shuffle_and_split(data, seed=123))
 
 
 def test_split_too_small():
@@ -208,14 +211,16 @@ def test_split_too_small():
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(10, 2000), seed=st.integers(0, 2**31 - 1))
 def test_split_partitions_all_indices(n, seed):
-    splits = shuffle_and_split(matrix(n), seed=seed)
-    parts = [splits.train_idx, splits.val_idx, splits.test_idx, splits.finetune_idx]
-    merged = np.concatenate(parts)
-    assert len(merged) == n
-    np.testing.assert_array_equal(np.sort(merged), np.arange(n))
-    for part in parts:
-        assert len(part) >= 1
-        np.testing.assert_array_equal(part, np.sort(part))
+    # every row holds exactly one name, and each split is as large as its floor
+    names = shuffle_and_split(matrix(n), seed=seed)
+    assert names.shape == (n,)
+    assert set(names.tolist()) <= set(SPLIT_NAMES)
+    n_finetune = math.floor(0.2 * n)
+    rest = n - n_finetune
+    n_val = n_test = math.floor(0.2 * rest)
+    expected = [rest - n_val - n_test, n_val, n_test, n_finetune]
+    assert list(split_counts(names).values()) == expected
+    assert min(expected) >= 1
 
 
 # --- helpers -------------------------------------------------------------------

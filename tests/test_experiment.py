@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import make_separable, read_curve_csv, write_labeled_csv
 
+from qmlrobust.cli import main
 from qmlrobust.data import FeatureMatrix, subset
 from qmlrobust.experiment import (
     ExperimentConfig,
@@ -17,7 +18,6 @@ from qmlrobust.experiment import (
     report_to_dict,
     run_pipeline,
     save_report_json,
-    split_name_column,
     stage_seed,
     write_reduced_csv,
 )
@@ -85,14 +85,14 @@ def test_unreadable_data_reports_stage(tmp_path):
 
 def test_zero_epsilon_before_equals_after(synth_csv, tmp_path):
     cfg = quick_config(synth_csv, tmp_path / "out", epsilon=0.0, epochs=6)
-    report = run_pipeline(cfg).report
+    report, _ = run_pipeline(cfg)
     for model in ("nn", "qnn"):
         assert report.before[model] == report.after[model]
         assert report.confusions[f"{model}_clean"] == report.confusions[f"{model}_perturbed"]
 
 
 def test_report_tables_recomputable_from_confusions(synth_csv, tmp_path):
-    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=6)).report
+    report, _ = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=6))
     for model in ("nn", "qnn"):
         assert report.before[model] == scalar_metrics(report.confusions[f"{model}_clean"])
         assert report.after[model] == scalar_metrics(report.confusions[f"{model}_perturbed"])
@@ -101,35 +101,35 @@ def test_report_tables_recomputable_from_confusions(synth_csv, tmp_path):
 
 
 def test_histories_one_record_per_epoch(synth_csv, tmp_path):
-    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=7)).report
+    report, _ = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=7))
     assert len(report.histories["nn"]) == 7
     assert len(report.histories["qnn"]) == 7
 
 
 def test_finetune_mode_adds_histories(synth_csv, tmp_path):
     cfg = quick_config(synth_csv, tmp_path / "out", epochs=5, finetune_mode="finetune")
-    report = run_pipeline(cfg).report
+    report, _ = run_pipeline(cfg)
     assert set(report.histories) == {"nn", "qnn", "nn_finetune", "qnn_finetune"}
 
 
 def test_finetune_mode_scores_the_finetuned_models(synth_csv, tmp_path):
     cfg = quick_config(synth_csv, tmp_path / "out", epochs=5, finetune_mode="finetune")
-    art = run_pipeline(cfg)
-    plain = run_pipeline(replace(cfg, finetune_mode="evaluate-only"))
-    reduced, splits = reduce_dataset(cfg)
-    adv, _ = build_adversarial_set(subset(reduced, splits.test_idx), cfg.perturbation("test"))
+    report, models = run_pipeline(cfg)
+    plain_report, plain_models = run_pipeline(replace(cfg, finetune_mode="evaluate-only"))
+    reduced, names = reduce_dataset(cfg)
+    adv, _ = build_adversarial_set(subset(reduced, names == "test"), cfg.perturbation("test"))
     for m, scores in (("nn", mlp_scores), ("qnn", qnn_scores)):
-        cm = confusion(adv.labels, scores(art.models[m], adv.values))
-        assert art.report.after[m] == scalar_metrics(cm)
+        cm = confusion(adv.labels, scores(models[m], adv.values))
+        assert report.after[m] == scalar_metrics(cm)
         # the clean evaluation comes before finetuning
-        assert art.report.before[m] == plain.report.before[m]
-        assert not np.array_equal(art.models[m].params, plain.models[m].params)
+        assert report.before[m] == plain_report.before[m]
+        assert not np.array_equal(models[m].params, plain_models[m].params)
 
 
 def test_same_config_same_report(synth_csv, tmp_path):
     cfg = quick_config(synth_csv, tmp_path / "out", epochs=6)
-    a = run_pipeline(cfg).report
-    b = run_pipeline(cfg).report
+    a, _ = run_pipeline(cfg)
+    b, _ = run_pipeline(cfg)
     assert report_to_dict(a) == report_to_dict(b)
 
 
@@ -137,7 +137,7 @@ def test_same_config_same_report(synth_csv, tmp_path):
 
 
 def test_emit_writes_thirteen_files_plus_echo(synth_csv, tmp_path):
-    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5)).report
+    report, _ = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5))
     target = tmp_path / "render"
     written = emit_report(report, target)
     names = sorted(p.name for p in written)
@@ -151,7 +151,7 @@ def test_emit_writes_thirteen_files_plus_echo(synth_csv, tmp_path):
 
 
 def test_report_text_carries_two_decimal_rows(synth_csv, tmp_path):
-    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5)).report
+    report, _ = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5))
     target = tmp_path / "render"
     emit_report(report, target)
     text = (target / "report.txt").read_text()
@@ -163,7 +163,7 @@ def test_report_text_carries_two_decimal_rows(synth_csv, tmp_path):
 
 
 def test_curve_csvs_round_trip(synth_csv, tmp_path):
-    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5)).report
+    report, _ = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5))
     target = tmp_path / "render"
     emit_report(report, target)
     for key, curve in report.curves.items():
@@ -175,7 +175,7 @@ def test_config_echo_round_trips_as_config_file(synth_csv, tmp_path):
     from qmlrobust.cli import read_config_file
 
     cfg = quick_config(synth_csv, tmp_path / "out", epochs=5)
-    report = run_pipeline(cfg).report
+    report, _ = run_pipeline(cfg)
     target = tmp_path / "render"
     emit_report(report, target)
     parsed = read_config_file(target / "config.echo")
@@ -185,7 +185,7 @@ def test_config_echo_round_trips_as_config_file(synth_csv, tmp_path):
 
 
 def test_report_json_round_trip(synth_csv, tmp_path):
-    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5)).report
+    report, _ = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=5))
     path = tmp_path / "report.json"
     save_report_json(report, path)
     again = load_report_json(path)
@@ -194,7 +194,7 @@ def test_report_json_round_trip(synth_csv, tmp_path):
 
 @pytest.mark.parametrize("n_points", [0, 1, 2, 5000])
 def test_save_report_json_matches_json_dumps(synth_csv, tmp_path, n_points):
-    report = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=2)).report
+    report, _ = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=2))
     rng = np.random.default_rng(n_points)
     points = rng.uniform(0, 1, size=(n_points, 2))
     points[: n_points // 2, 0] = 0.0  # integral floats print as "0.0"
@@ -218,7 +218,7 @@ def test_wide_qnn_runs_end_to_end(tmp_path):
     path = tmp_path / "wide.csv"
     write_labeled_csv(make_separable(240, 40, seed=9), path)
     cfg = quick_config(path, tmp_path / "out", pca_components=32, epochs=1, qnn_layers=2)
-    report = report_to_dict(run_pipeline(cfg).report)
+    report = report_to_dict(run_pipeline(cfg)[0])
     assert sorted(report) == sorted(
         ["config", "circuit", "before", "after", "confusions", "curves", "histories"]
     )
@@ -230,9 +230,9 @@ def test_wide_qnn_runs_end_to_end(tmp_path):
 
 def test_determinism_byte_identical_directories(synth_csv, tmp_path):
     cfg = quick_config(synth_csv, tmp_path / "out", epochs=6)
-    emit_report(run_pipeline(cfg).report, tmp_path / "out")
+    emit_report(run_pipeline(cfg)[0], tmp_path / "out")
     first = read_dir_bytes(tmp_path / "out")
-    emit_report(run_pipeline(cfg).report, tmp_path / "out")
+    emit_report(run_pipeline(cfg)[0], tmp_path / "out")
     second = read_dir_bytes(tmp_path / "out")
     assert first == second
 
@@ -285,11 +285,19 @@ def test_reduced_csv_missing_header_columns(tmp_path):
         read_reduced_csv(path)
 
 
-def test_split_name_column_covers_everything(synth_csv, tmp_path):
-    reduced, splits = reduce_dataset(quick_config(synth_csv, tmp_path / "out", epochs=5))
-    names = split_name_column(splits, reduced.n_samples)
+def test_preprocess_writes_the_rows_and_split_names_of_reduce_dataset(synth_csv, tmp_path):
+    cfg = quick_config(synth_csv, tmp_path / "out")
+    path = tmp_path / "reduced.csv"
+    assert main(
+        ["preprocess", "--data-path", str(synth_csv), "--seed", "5", "--pca-components", "3",
+         "--output", str(path)]
+    ) == 0
+    reduced, names = reduce_dataset(cfg)
+    written, written_names = read_reduced_csv(path)
+    assert written_names.tolist() == names.tolist()
     assert set(names) == {"train", "val", "test", "finetune"}
-    assert np.sum(names == "train") == len(splits.train_idx)
+    np.testing.assert_array_equal(written.values, reduced.values)
+    np.testing.assert_array_equal(written.labels, reduced.labels)
 
 
 # --- the two heads ----------------------------------------------------------------------
