@@ -121,7 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_cli(argv: list[str]) -> tuple[str, ExperimentConfig, argparse.Namespace]:
     """Resolve argv (+ optional config file) into a validated ExperimentConfig."""
-    args = build_parser().parse_args(argv)
+    # argparse reads "-inf" or "-1,2" as an option; every long option but --help takes a value
+    tokens: list[str] = []
+    for token in argv:
+        flag = tokens[-1] if tokens else ""
+        takes_value = flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+        if takes_value and token.startswith("-") and not token.startswith("--") and token != "-h":
+            token = f"{tokens.pop()}={token}"  # "--epsilon -inf" -> "--epsilon=-inf"
+        tokens.append(token)
+    args = build_parser().parse_args(tokens)
 
     overrides = {}
     if getattr(args, "config", None):

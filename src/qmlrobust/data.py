@@ -158,10 +158,10 @@ def line_of(path: str | Path, row: int) -> int:
 def _parse_column(cells: tuple[str, ...]) -> np.ndarray | list[float | str]:
     """float64 array if every cell parses as a number, else stripped text with numbers as floats.
 
-    np.array(..., dtype=float) calls Python's float on each str, so the
-    values are those float(cell.strip()) gives. The fallback resolves each
-    distinct text once, and every cell then refers to that one object, so
-    the chunk's copies of repeated text are freed.
+    The values are those float(cell.strip()) gives. numpy 2 refuses some
+    cells that float reads ("\x1c1"); a chunk of only numbers is an array
+    even then. The fallback resolves each distinct text once, and every
+    cell then refers to that one object, so repeated text is freed.
     """
     try:
         return np.array(cells, dtype=float)
@@ -174,7 +174,8 @@ def _parse_column(cells: tuple[str, ...]) -> np.ndarray | list[float | str]:
             resolved[value] = float(value)
         except ValueError:
             resolved[value] = value
-    return list(map(resolved.__getitem__, text))
+    parsed = list(map(resolved.__getitem__, text))
+    return np.array(parsed) if all(isinstance(v, float) for v in resolved.values()) else parsed
 
 
 def _join(pieces: list) -> np.ndarray | list[float | str]:
@@ -210,19 +211,13 @@ def encode_and_normalize(raw: RawDataset) -> FeatureMatrix:
 
 def _encode_column(column: np.ndarray | list[float | str], name: str) -> np.ndarray:
     if isinstance(column, np.ndarray):
-        out = column
-    else:
-        distinct = dict.fromkeys(column)
-        numeric = [isinstance(v, float) for v in distinct]
-        if not any(numeric):
-            codes = {v: float(code) for code, v in enumerate(distinct)}
-            return np.fromiter(map(codes.__getitem__, column), dtype=float, count=len(column))
-        if not all(numeric):
-            raise ValueError(f"column {name!r} mixes numeric and text cells")
-        out = np.asarray(column, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"column {name!r} contains non-finite values")
-    return out
+        if not np.all(np.isfinite(column)):
+            raise ValueError(f"column {name!r} contains non-finite values")
+        return column
+    codes = {v: float(code) for code, v in enumerate(dict.fromkeys(column))}
+    if any(isinstance(v, float) for v in codes):  # a cell list always holds text
+        raise ValueError(f"column {name!r} mixes numeric and text cells")
+    return np.fromiter(map(codes.__getitem__, column), dtype=float, count=len(column))
 
 
 def scale_to_unit(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -38,9 +38,8 @@ for the same bits.
 Two passes stay duplicated. `parameter_shift_grad` scores the batch for
 its hinge weights, although `train_qnn` scored the same rows with the same
 parameters after the step before; the benchmark's tracer reads the active
-fraction off that nested `qnn_scores` call. And `_grad` sweeps its left
-halves again rather than keep them from that call: the call scores every
-row, the gradient only the rows inside the margin.
+fraction off that nested `qnn_scores` call. And `_grad` sweeps the same
+row blocks again, because `qnn_scores` returns only the scores.
 
 Every product and sum runs elementwise over the rows, with no BLAS call,
 because numpy pays one BLAS call per tiny 2 x 2 or 4 x 4 matrix. A score
@@ -323,25 +322,23 @@ def qnn_scores(model: QnnModel, X: np.ndarray) -> np.ndarray:
 def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean hinge loss over a batch, computed by adjoint differentiation.
 
-    The hinge contributes -y per sample strictly inside the margin and 0
-    otherwise (subgradient 0 exactly at the kink); the weights come from
-    one `qnn_scores` call, and samples past the margin are skipped. The
-    adjoint sweep (`_grad`) gives every layer x qubit derivative of the
-    weighted scores at once. The result equals the exact two-point
-    parameter shift on `build_model_circuit` weighted by the hinge.
+    A sample's hinge weight is -y/n strictly inside the margin and 0
+    otherwise (subgradient 0 exactly at the kink), as in `mlp._backprop`,
+    from one `qnn_scores` call. The adjoint sweep (`_grad`) gives every
+    layer x qubit derivative of the weighted scores, over the row blocks
+    `qnn_scores` walks. The result equals the exact two-point parameter
+    shift on `build_model_circuit` weighted by the hinge.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    scores = qnn_scores(model, X)
-    weight = hinge_weights(y, scores)
-    active = np.nonzero(weight)[0]
+    weight = hinge_weights(y, qnn_scores(model, X))
     theta = model.params.reshape(model.n_layers, model.n_qubits)
     step = _block_rows(model.n_qubits, model.n_layers)
     grad = np.zeros_like(theta)
-    for start in range(0, active.size, step):
-        rows = active[start : start + step]
+    for start in range(0, X.shape[0], step):
+        rows = slice(start, start + step)
         grad += _grad(theta, model.readout_qubit, X[rows], weight[rows])
     return grad.ravel()
 

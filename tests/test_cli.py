@@ -46,13 +46,15 @@ def test_negative_epsilon_names_the_flag(capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan"])
 @pytest.mark.parametrize("name", ["epsilon", "learning_rate"])
-@pytest.mark.parametrize("source", ["flag", "config-file"])
+@pytest.mark.parametrize("source", ["flag", "separate-token", "config-file"])
 def test_non_finite_epsilon_or_learning_rate_is_usage_error(tmp_path, capsys, source, name, value):
     flag = name.replace("_", "-")
     if source == "flag":
-        argv = ["run", "--data-path", "d.csv", f"--{flag}={value}"]  # "-inf" would read as a flag
+        argv = ["run", "--data-path", "d.csv", f"--{flag}={value}"]
+    elif source == "separate-token":  # argparse alone reads "-inf" as an option
+        argv = ["run", "--data-path", "d.csv", f"--{flag}", value]
     else:
         config = tmp_path / "exp.cfg"
         config.write_text(f"data_path = d.csv\n{name} = {value}\n")
@@ -61,6 +63,32 @@ def test_non_finite_epsilon_or_learning_rate_is_usage_error(tmp_path, capsys, so
         parse_cli(argv)
     assert exc.value.code == 2
     assert f"{flag} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--epsilon", "-1e-3", "epsilon must be finite and >= 0"),
+        ("--learning-rate", "-1e-3", "learning-rate must be finite and > 0"),
+        ("--mlp-hidden", "-1,2", "mlp-hidden widths must all be >= 1"),
+    ],
+)
+def test_negative_value_as_its_own_token_reaches_validation(capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        parse_cli(["run", "--data-path", "d.csv", flag, value])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_dash_tokens_after_help_or_before_a_flag_stay_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_cli(["run", "--help", "-1"])
+    assert exc.value.code == 0
+    assert "--epsilon" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        parse_cli(["run", "--data-path", "d.csv", "--epsilon", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--epsilon: expected one argument" in capsys.readouterr().err
 
 
 def test_config_file_with_byte_order_mark(tmp_path):

@@ -274,6 +274,27 @@ def test_gradient_zero_past_margin():
     np.testing.assert_array_equal(grad, np.zeros(2))
 
 
+# one block of all 11 rows, and blocks of 3 rows (24 * k * 4**layers bytes per row)
+@pytest.mark.parametrize("block_bytes", [3 * 2**20, 3 * 24 * 3 * 4**2])
+def test_gradient_over_a_batch_with_rows_on_the_margin(monkeypatch, block_bytes):
+    # under zero angles a row of zero features scores exactly +1: with label +1
+    # it sits on the margin and weighs 0, among rows inside the margin
+    monkeypatch.setattr(qmlrobust.qnn, "_BLOCK_BYTES", block_bytes)
+    model = model_with(3, 2, params=np.zeros(6))
+    rng = np.random.default_rng(7)
+    X = rng.uniform(0.1, 0.9, size=(11, 3))
+    y = rng.choice([-1, 1], size=11)
+    on_margin = [0, 4, 5, 10]
+    X[on_margin], y[on_margin] = 0.0, 1
+    scores = qnn_scores(model, X)
+    assert np.all(scores[on_margin] == 1.0)
+    assert np.all(np.abs(np.delete(scores, on_margin)) < 1.0)
+    weight = hinge_weights(model, X, y)
+    expected = statevector.grad(np.zeros((2, 3)), 2, X, weight).ravel()
+    assert np.max(np.abs(expected)) > 0.01
+    assert np.max(np.abs(parameter_shift_grad(model, X, y) - expected)) <= 1e-13
+
+
 def test_gradient_empty_batch_rejected():
     model = model_with(2, 1)
     with pytest.raises(ValueError):
