@@ -362,11 +362,20 @@ def render_curve_svg(title: str, named_curves: list[tuple[str, Curve]]) -> str:
 # --- report (de)serialization -------------------------------------------
 
 
-def report_to_dict(report: Report) -> dict:
-    payload = asdict(report)
-    for curve in payload["curves"].values():
-        curve["points"] = curve["points"].tolist()
+def report_to_dict(report: Report, points=np.ndarray.tolist) -> dict:
+    """The report as JSON data, `points` applied to each curve's points array."""
+    payload = asdict(replace(report, curves={}))  # asdict would deep-copy every array
+    curves = report.curves.items()
+    payload["curves"] = {key: {**vars(c), "points": points(c.points)} for key, c in curves}
     return payload
+
+
+def _curve(key: str, curve: dict) -> Curve:
+    """A report.json curve, its points an (m, 2) float array; [] is (0, 2)."""
+    points = np.asarray(curve["points"], dtype=float)
+    if points.shape != (0,) and (points.ndim != 2 or points.shape[1] != 2):
+        raise ValueError(f"curve {key!r}: points must be [x, y] pairs, found shape {points.shape}")
+    return Curve(points=points.reshape(-1, 2), auc=curve["auc"], kind=curve["kind"])
 
 
 def report_from_dict(payload: dict) -> Report:
@@ -376,10 +385,7 @@ def report_from_dict(payload: dict) -> Report:
         before={m: ScalarMetrics(**s) for m, s in payload["before"].items()},
         after={m: ScalarMetrics(**s) for m, s in payload["after"].items()},
         confusions={key: ConfusionMatrix(**cm) for key, cm in payload["confusions"].items()},
-        curves={
-            key: Curve(points=np.asarray(c["points"]), auc=c["auc"], kind=c["kind"])
-            for key, c in payload["curves"].items()
-        },
+        curves={key: _curve(key, curve) for key, curve in payload["curves"].items()},
         histories={
             key: [EpochRecord(**r) for r in records]
             for key, records in payload["histories"].items()
@@ -395,31 +401,37 @@ _POINT_JSON = "        [\n          {!r},\n          {!r}\n        ]"
 def save_report_json(report: Report, path: str | Path) -> None:
     """report_to_dict as json.dumps(indent=2, sort_keys=True) writes it, byte for byte.
 
-    json.dumps with an indent runs its pure-Python encoder, slow on the
-    curves' tens of thousands of points. Each finite points array is
-    replaced by a placeholder string, the rest is dumped, and the points
-    are formatted column-wise (repr, as json writes a finite float) and
-    spliced in. The curves come after every other string in sorted key
-    order, so the last occurrence of a placeholder is the one to replace.
+    The encoder calls `default` on each curve's points array where it belongs,
+    and a finite one is written there CHUNK_ROWS pairs at a time (repr, as json
+    writes a finite float): memory is bounded by one chunk of one curve.
     """
-    payload = report_to_dict(report)
-    blocks = {}
-    for i, (key, curve) in enumerate(sorted(report.curves.items())):
-        if len(curve.points) and np.isfinite(curve.points).all():
-            token = f"\x00points {i}\x00"
-            payload["curves"][key]["points"] = token
-            x, y = curve.points.T.tolist()
-            pairs = ",\n".join(map(_POINT_JSON.format, x, y))
-            blocks[json.dumps(token)] = "[\n" + pairs + "\n      ]"
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    for token, block in blocks.items():
-        head, _, tail = text.rpartition(token)
-        text = head + block + tail
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    pending = []  # the finite points whose "null" placeholder the encoder yields next
+
+    def default(points: np.ndarray):
+        if not np.isfinite(points).all():
+            return points.tolist()  # json writes NaN and Infinity, repr does not
+        pending.append(points)  # and return None: the loop writes them in place of "null"
+
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=default)
+    with open(path, "w", encoding="utf-8") as fh:
+        for chunk in encoder.iterencode(report_to_dict(report, points=np.asarray)):
+            if not pending:
+                fh.write(chunk)
+                continue
+            points = pending.pop()
+            for start in range(0, len(points), CHUNK_ROWS):
+                x, y = points[start : start + CHUNK_ROWS].T.tolist()
+                fh.write((",\n" if start else "[\n") + ",\n".join(map(_POINT_JSON.format, x, y)))
+            fh.write("\n      ]" if len(points) else "[]")
+        fh.write("\n")
 
 
 def load_report_json(path: str | Path) -> Report:
-    return report_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return report_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError) as exc:  # a missing key or a malformed value
+        missing = "missing key " if isinstance(exc, KeyError) else ""
+        raise ValueError(f"{path}: {missing}{exc}") from exc
 
 
 # --- reduced-dataset CSV (preprocess/attack/evaluate interchange) --------

@@ -29,8 +29,14 @@ class PcaModel:
 def fit_pca(data: FeatureMatrix, k: int) -> PcaModel:
     """Top-k principal directions of the sample covariance (ddof=1).
 
+    They are the top eigenvectors of the d×d scatter matrix: O(n·d² + d³)
+    time and d² memory (an SVD holds n×d). Its row sum is an einsum, not
+    BLAS, so the bits do not depend on the BLAS thread count. It squares the
+    condition number, which the top-k, largest-eigenvalue components afford.
+
     Sign convention: the largest-magnitude entry of each component is
-    made nonnegative, so the decomposition is unique up to eigenvalue ties.
+    made nonnegative, so the decomposition is unique up to eigenvalue ties
+    (within a tied eigenspace, eigh picks the basis).
     """
     X = data.values
     n, d = X.shape
@@ -41,8 +47,8 @@ def fit_pca(data: FeatureMatrix, k: int) -> PcaModel:
     if not np.any(centered):
         raise ValueError("all rows identical: zero-variance data has no principal directions")
 
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    components = _fix_signs(vt[:k].copy())
+    _, eigvecs = np.linalg.eigh(np.einsum("ri,rj->ij", centered, centered))
+    components = _fix_signs(eigvecs[:, ::-1][:, :k].T.copy())  # eigh sorts ascending
 
     proj = centered @ components.T
     return PcaModel(

@@ -1,11 +1,15 @@
 """Test-only data builders and readers: a separable synthetic dataset, its
-raw CSV form, a reader for the report's curve CSVs, and a brute-force
-circuit depth."""
+raw CSV form, a reader for the report's curve CSVs, a brute-force circuit
+depth, and a script's output at one and at two BLAS threads."""
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import qmlrobust
 from qmlrobust.data import FeatureMatrix
 from qmlrobust.metrics import Curve
 from qmlrobust.simulator import QuantumCircuit
@@ -60,3 +64,22 @@ def layering_oracle(circuit: QuantumCircuit) -> int:
         for w in wires:
             placed_at[w] = earliest
     return len(layers)
+
+
+def stdout_at_blas_threads(script: str) -> list[str]:
+    """The stdout of `script` in a fresh interpreter at OPENBLAS_NUM_THREADS=1, then =2."""
+    src = str(Path(qmlrobust.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        outputs.append(run.stdout)
+    return outputs

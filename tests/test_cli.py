@@ -299,6 +299,59 @@ def test_report_rerender_matches_original(synth_csv, tmp_path):
         assert (rerender / name).read_bytes() == (out / name).read_bytes()
 
 
+def _edit_points(key, points):
+    return lambda payload: payload["curves"][key].update(points=points)
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (
+            _edit_points("nn_clean_roc", [[0, 0, 1]]),
+            "curve 'nn_clean_roc': points must be [x, y] pairs, found shape (1, 3)",
+        ),
+        (
+            _edit_points("qnn_perturbed_pr", [0.5, 0.5]),
+            "curve 'qnn_perturbed_pr': points must be [x, y] pairs, found shape (2,)",
+        ),
+        (
+            _edit_points("nn_clean_pr", [[]]),
+            "curve 'nn_clean_pr': points must be [x, y] pairs, found shape (1, 0)",
+        ),
+        (lambda payload: payload.pop("histories"), "missing key 'histories'"),
+        (lambda payload: payload["curves"]["qnn_clean_roc"].pop("auc"), "missing key 'auc'"),
+    ],
+    ids=["three-columns", "flat", "empty-pair", "no-histories", "no-auc"],
+)
+def test_report_refuses_a_malformed_report_json(synth_csv, tmp_path, capsys, edit, problem):
+    out = tmp_path / "out"
+    args = ["--data-path", str(synth_csv), "--output-dir", str(out), "--pca-components", "3"]
+    assert main(["run", *args, "--epochs", "2", "--mlp-hidden", "4"]) == 0
+    payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    edit(payload)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    rerender = tmp_path / "again"
+    assert main(["report", "--report-json", str(path), "--output-dir", str(rerender)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+    assert not rerender.exists()  # refused before any file is written
+
+
+def test_report_rerenders_an_empty_curve(synth_csv, tmp_path):
+    out = tmp_path / "out"
+    args = ["--data-path", str(synth_csv), "--output-dir", str(out), "--pca-components", "3"]
+    assert main(["run", *args, "--epochs", "2", "--mlp-hidden", "4"]) == 0
+    payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    payload["curves"]["qnn_perturbed_pr"]["points"] = []
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    rerender = tmp_path / "again"
+    assert main(["report", "--report-json", str(path), "--output-dir", str(rerender)]) == 0
+    assert (rerender / "qnn_perturbed_pr.csv").read_text(encoding="utf-8") == "x,y\n"
+    assert (rerender / "report.txt").read_bytes() == (out / "report.txt").read_bytes()
+
+
 def test_staged_subcommands_compose_to_run(synth_csv, tmp_path):
     """preprocess -> attack -> evaluate reproduces run's confusion matrices bit-exactly."""
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +211,39 @@ def test_save_report_json_matches_json_dumps(synth_csv, tmp_path, n_points):
     save_report_json(report, path)
     expected = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
     assert path.read_text(encoding="utf-8") == expected
+
+
+def test_save_report_json_memory_is_bounded_by_a_chunk(synth_csv, tmp_path):
+    report, _ = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=2))
+    rng = np.random.default_rng(50)
+    report.curves = {  # 8 x 7000 = 56000 points
+        key: Curve(points=rng.uniform(0, 1, size=(7000, 2)), auc=c.auc, kind=c.kind)
+        for key, c in report.curves.items()
+    }
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        save_report_json(report, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a Python list per point, or a copy of the whole text, would take ~20 MiB
+    assert peak < 4 * 2**20
+    expected = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    assert path.read_text(encoding="utf-8") == expected
+
+
+def test_empty_curve_survives_save_load_and_emit(synth_csv, tmp_path):
+    report, _ = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=2))
+    report.curves["nn_perturbed_roc"] = Curve(np.empty((0, 2)), 0.0, "roc")
+    path = tmp_path / "report.json"
+    save_report_json(report, path)
+    assert '"points": []' in path.read_text(encoding="utf-8")
+    again = load_report_json(path)
+    assert again.curves["nn_perturbed_roc"].points.shape == (0, 2)
+    emit_report(again, tmp_path / "render")
+    assert (tmp_path / "render" / "nn_perturbed_roc.csv").read_text() == "x,y\n"
+    assert "perturbed AUC=0.0000" in (tmp_path / "render" / "nn_roc.svg").read_text()
 
 
 def test_wide_qnn_runs_end_to_end(tmp_path):

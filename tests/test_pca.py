@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import stdout_at_blas_threads
 
 from qmlrobust.data import FeatureMatrix
 from qmlrobust.pca import PcaModel, fit_pca, project, transform_pca
@@ -15,7 +16,8 @@ def matrix(values, labels=None):
 def covariance_eig_oracle(values: np.ndarray):
     """Brute-force route: explicit outer-product covariance, then eigh.
 
-    Independent of the implementation's SVD path.
+    Independent of the implementation's einsum scatter matrix; `svd_oracle`
+    also avoids its eigh.
     """
     n = values.shape[0]
     mean = values.mean(axis=0)
@@ -23,6 +25,13 @@ def covariance_eig_oracle(values: np.ndarray):
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     return eigvals[order], eigvecs[:, order].T  # rows = components
+
+
+def svd_oracle(values: np.ndarray):
+    """The SVD route: right singular vectors of the centered rows, largest first."""
+    centered = values - values.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    return s**2 / (values.shape[0] - 1), vt  # covariance eigenvalues, rows = components
 
 
 def apply_sign_convention(components: np.ndarray) -> np.ndarray:
@@ -62,6 +71,44 @@ def test_matches_covariance_eigendecomposition_oracle():
     np.testing.assert_allclose(
         model.components, apply_sign_convention(eigvecs[:3]), atol=1e-9
     )
+
+
+def test_matches_svd_oracle_on_distinct_nonzero_eigenvalues():
+    # rank 5 in 8 columns: the last three eigenvalues are zero (a tie), so
+    # only the first five components are defined up to sign
+    rng = np.random.default_rng(55)
+    values = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 8))
+    model = fit_pca(matrix(values), k=8)
+    eigvals, eigvecs = svd_oracle(values)
+    assert np.all(np.diff(eigvals[:5]) < -1e-6 * eigvals[0])
+    assert eigvals[4] > 1e-6 * eigvals[0] and eigvals[5] < 1e-12 * eigvals[0]
+    np.testing.assert_allclose(
+        model.components[:5], apply_sign_convention(eigvecs[:5]), atol=1e-9
+    )
+    gram = model.components @ model.components.T
+    assert np.max(np.abs(gram - np.eye(8))) < 1e-10
+
+
+_PCA_DIGEST = """
+import hashlib, sys
+import numpy as np
+from qmlrobust.data import FeatureMatrix
+from qmlrobust.pca import fit_pca
+
+rows = 24000  # an SVD of this many rows changed bits with the thread count
+rng = np.random.default_rng(rows)
+values = rng.uniform(0, 1, size=(rows, 22))
+model = fit_pca(FeatureMatrix(values=values, labels=np.ones(rows, dtype=int)), k=8)
+digest = hashlib.sha256(model.components.tobytes())
+digest.update(model.proj_min.tobytes() + model.proj_max.tobytes())
+sys.stdout.write(digest.hexdigest())
+"""
+
+
+def test_pca_bytes_do_not_depend_on_blas_threads():
+    digests = stdout_at_blas_threads(_PCA_DIGEST)
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_explained_variance_ordering_and_total():

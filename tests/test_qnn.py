@@ -1,14 +1,10 @@
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 import statevector
-from helpers import layering_oracle
+from helpers import layering_oracle, stdout_at_blas_threads
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -433,20 +429,7 @@ sys.stdout.write(digest.hexdigest())
 
 
 def test_kernel_bytes_do_not_depend_on_blas_threads():
-    src = str(Path(qmlrobust.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        run = subprocess.run(
-            [sys.executable, "-c", _KERNEL_DIGEST],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-            check=True,
-        )
-        digests.append(run.stdout)
+    digests = stdout_at_blas_threads(_KERNEL_DIGEST)
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
 
