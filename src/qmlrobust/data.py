@@ -2,11 +2,12 @@
 
 Ingest is columnar: `load_csv` reads the file in chunks of `CHUNK_ROWS`
 records, transposes each chunk and parses every column with one numpy
-call, so no Python code runs per cell on the numeric path. A column that
-does not parse as numbers keeps its stripped text. The per-cell scan that
-names the offending line runs only after a check has failed. The reduced
-CSV that `preprocess`, `attack` and `evaluate` exchange is read through
-`load_csv` too, and its checks name lines with `line_of`.
+call, so no Python code runs per cell on the numeric path. Every column
+is one numpy array: float64 when every cell is a number, otherwise an
+object array of its stripped text. The per-cell scan that names the
+offending line runs only after a check has failed. The reduced CSV that
+`preprocess`, `attack` and `evaluate` exchange is read through `load_csv`
+too, and its checks name lines with `line_of`.
 
 The split layout follows the experiment protocol: 20% of the samples are
 held out for the fine-tune/attack set, and the remaining 80% is divided
@@ -41,15 +42,15 @@ CHUNK_ROWS = 1024
 
 @dataclass
 class RawDataset:
-    """A parsed CSV, one entry per column.
+    """A parsed CSV, one array per column.
 
     A column is a float64 array when every cell parsed as a number, and
-    otherwise a list of its cells: stripped text, or a float where a cell
-    parsed as one (which `encode_and_normalize` refuses as mixed).
+    otherwise an object array of its cells: stripped text, or a float where
+    a cell parsed as one (which `encode_and_normalize` refuses as mixed).
     """
 
     column_names: list[str]
-    columns: list[np.ndarray | list[float | str]]
+    columns: list[np.ndarray]
     label_column: str
 
     @property
@@ -66,9 +67,7 @@ class _RowView(Sequence):
         return len(self._columns[0]) if self._columns else 0
 
     def __getitem__(self, i: int) -> list[float | str]:
-        return [
-            col[i].item() if isinstance(col, np.ndarray) else col[i] for col in self._columns
-        ]
+        return [col.item(i) for col in self._columns]
 
 
 @dataclass
@@ -107,7 +106,7 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
             raise ValueError(f"{path}: empty file, expected a header line") from None
         header = [name.strip() for name in header]
         width = len(header)
-        pieces: list[list] = [[] for _ in header]
+        pieces: list[list[np.ndarray]] = [[] for _ in header]
         n_rows = 0
         while chunk := list(islice(reader, CHUNK_ROWS)):
             ragged = None
@@ -116,7 +115,7 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
             records = list(filter(None, chunk[:ragged]))
             if records:
                 parsed = [_parse_column(cells) for cells in zip(*records)]
-                if any(isinstance(col, list) and "" in col for col in parsed):
+                if any(col.dtype == object and "" in col for col in parsed):
                     # an earlier line may hold the empty cell, so it wins over a later ragged row
                     at = next(i for i, rec in enumerate(records) if not all(map(str.strip, rec)))
                     raise ValueError(
@@ -135,9 +134,9 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
         raise ValueError(f"{path}: no samples (header only)")
     if label_column not in header:
         raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
-    return RawDataset(
-        column_names=header, columns=[_join(piece) for piece in pieces], label_column=label_column
-    )
+    # one object chunk makes the column object, its numbers Python floats
+    columns = [np.concatenate(piece) for piece in pieces]
+    return RawDataset(column_names=header, columns=columns, label_column=label_column)
 
 
 def line_of(path: str | Path, row: int) -> int:
@@ -155,11 +154,12 @@ def line_of(path: str | Path, row: int) -> int:
         return reader.line_num
 
 
-def _parse_column(cells: tuple[str, ...]) -> np.ndarray | list[float | str]:
-    """float64 array if every cell parses as a number, else stripped text with numbers as floats.
+def _parse_column(cells: tuple[str, ...]) -> np.ndarray:
+    """float64 array if every cell parses as a number, else an object array of
+    the stripped text, with a float wherever a cell parses as one.
 
     The values are those float(cell.strip()) gives. numpy 2 refuses some
-    cells that float reads ("\x1c1"); a chunk of only numbers is an array
+    cells that float reads ("\x1c1"); a chunk of only numbers is float64
     even then. The fallback resolves each distinct text once, and every
     cell then refers to that one object, so repeated text is freed.
     """
@@ -174,18 +174,8 @@ def _parse_column(cells: tuple[str, ...]) -> np.ndarray | list[float | str]:
             resolved[value] = float(value)
         except ValueError:
             resolved[value] = value
-    parsed = list(map(resolved.__getitem__, text))
-    return np.array(parsed) if all(isinstance(v, float) for v in resolved.values()) else parsed
-
-
-def _join(pieces: list) -> np.ndarray | list[float | str]:
-    """Concatenate one column's chunks; any text chunk makes it a cell list."""
-    if all(isinstance(piece, np.ndarray) for piece in pieces):
-        return np.concatenate(pieces)
-    cells: list[float | str] = []
-    for piece in pieces:
-        cells += piece.tolist() if isinstance(piece, np.ndarray) else piece
-    return cells
+    numeric = all(isinstance(v, float) for v in resolved.values())
+    return np.array(list(map(resolved.__getitem__, text)), dtype=float if numeric else object)
 
 
 def encode_and_normalize(raw: RawDataset) -> FeatureMatrix:
@@ -209,13 +199,13 @@ def encode_and_normalize(raw: RawDataset) -> FeatureMatrix:
     return FeatureMatrix(values=values, labels=labels)
 
 
-def _encode_column(column: np.ndarray | list[float | str], name: str) -> np.ndarray:
-    if isinstance(column, np.ndarray):
+def _encode_column(column: np.ndarray, name: str) -> np.ndarray:
+    if column.dtype != object:
         if not np.all(np.isfinite(column)):
             raise ValueError(f"column {name!r} contains non-finite values")
         return column
     codes = {v: float(code) for code, v in enumerate(dict.fromkeys(column))}
-    if any(isinstance(v, float) for v in codes):  # a cell list always holds text
+    if any(isinstance(v, float) for v in codes):  # an object column always holds text
         raise ValueError(f"column {name!r} mixes numeric and text cells")
     return np.fromiter(map(codes.__getitem__, column), dtype=float, count=len(column))
 
@@ -234,9 +224,8 @@ def scale_to_unit(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return values
 
 
-def _encode_labels(column: np.ndarray | list[float | str], name: str) -> np.ndarray:
-    if isinstance(column, np.ndarray):
-        column = column.tolist()
+def _encode_labels(column: np.ndarray, name: str) -> np.ndarray:
+    column = column.tolist()
     distinct = dict.fromkeys(column)
     if len(distinct) != 2:
         raise ValueError(

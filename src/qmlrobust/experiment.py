@@ -54,6 +54,7 @@ FINETUNE_MODES = (EVALUATE_ONLY, FINETUNE)
 MODELS = ("nn", "qnn")
 SCENARIOS = ("clean", "perturbed")
 CURVE_KINDS = ("roc", "pr")
+CIRCUIT_KEYS = ("size", "depth", "precision", "measured_accuracy")
 
 # fixed substream labels so every stage draws independent randomness
 _STAGE_CODES = {"shuffle": 1, "init-nn": 2, "init-qnn": 3, "noise": 4, "noise-finetune": 5}
@@ -134,7 +135,7 @@ CONFIG_CODECS = {f.name: _CODECS[f.type] for f in fields(ExperimentConfig)}
 @dataclass
 class Report:
     config: dict[str, str]
-    circuit: dict[str, object]  # size, depth, precision, measured_accuracy
+    circuit: dict[str, object]  # CIRCUIT_KEYS
     before: dict[str, ScalarMetrics]  # per model: "nn", "qnn"
     after: dict[str, ScalarMetrics]
     confusions: dict[str, ConfusionMatrix]  # "<model>_<scenario>"
@@ -270,13 +271,8 @@ def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
             path.write_text(render_curve_svg(f"{model} {kind.upper()}", pair), encoding="utf-8")
             written.append(path)
 
-    # field order, not the dict's: a config reloaded from report.json comes back sorted
-    order = {name: i for i, name in enumerate(CONFIG_CODECS)}
-    keys = sorted(report.config, key=lambda key: order.get(key, len(order)))
     path = out / "config.echo"
-    path.write_text(
-        "".join(f"{key} = {report.config[key]}\n" for key in keys), encoding="utf-8"
-    )
+    path.write_text("".join(f"{k} = {v}\n" for k, v in report.config.items()), encoding="utf-8")
     written.append(path)
     return written
 
@@ -362,11 +358,10 @@ def render_curve_svg(title: str, named_curves: list[tuple[str, Curve]]) -> str:
 # --- report (de)serialization -------------------------------------------
 
 
-def report_to_dict(report: Report, points=np.ndarray.tolist) -> dict:
-    """The report as JSON data, `points` applied to each curve's points array."""
+def report_to_dict(report: Report) -> dict:
+    """The report as JSON data, except that each curve's points stay an array."""
     payload = asdict(replace(report, curves={}))  # asdict would deep-copy every array
-    curves = report.curves.items()
-    payload["curves"] = {key: {**vars(c), "points": points(c.points)} for key, c in curves}
+    payload["curves"] = {key: {**vars(c)} for key, c in report.curves.items()}
     return payload
 
 
@@ -379,13 +374,16 @@ def _curve(key: str, curve: dict) -> Curve:
 
 
 def report_from_dict(payload: dict) -> Report:
+    """The report drawn from `payload`: exactly the keys the artifacts use, else a KeyError."""
+    pairs = [f"{m}_{s}" for m in MODELS for s in SCENARIOS]
+    curve_keys = [f"{pair}_{kind}" for pair in pairs for kind in CURVE_KINDS]
     return Report(
-        config=dict(payload["config"]),
-        circuit=dict(payload["circuit"]),
-        before={m: ScalarMetrics(**s) for m, s in payload["before"].items()},
-        after={m: ScalarMetrics(**s) for m, s in payload["after"].items()},
-        confusions={key: ConfusionMatrix(**cm) for key, cm in payload["confusions"].items()},
-        curves={key: _curve(key, curve) for key, curve in payload["curves"].items()},
+        config={name: payload["config"][name] for name in CONFIG_CODECS},
+        circuit={key: payload["circuit"][key] for key in CIRCUIT_KEYS},
+        before={m: ScalarMetrics(**payload["before"][m]) for m in MODELS},
+        after={m: ScalarMetrics(**payload["after"][m]) for m in MODELS},
+        confusions={key: ConfusionMatrix(**payload["confusions"][key]) for key in pairs},
+        curves={key: _curve(key, payload["curves"][key]) for key in curve_keys},
         histories={
             key: [EpochRecord(**r) for r in records]
             for key, records in payload["histories"].items()
@@ -399,7 +397,8 @@ _POINT_JSON = "        [\n          {!r},\n          {!r}\n        ]"
 
 
 def save_report_json(report: Report, path: str | Path) -> None:
-    """report_to_dict as json.dumps(indent=2, sort_keys=True) writes it, byte for byte.
+    """report_to_dict, byte for byte as json.dumps writes it with indent=2,
+    sort_keys=True and default=np.ndarray.tolist.
 
     The encoder calls `default` on each curve's points array where it belongs,
     and a finite one is written there CHUNK_ROWS pairs at a time (repr, as json
@@ -414,7 +413,7 @@ def save_report_json(report: Report, path: str | Path) -> None:
 
     encoder = json.JSONEncoder(indent=2, sort_keys=True, default=default)
     with open(path, "w", encoding="utf-8") as fh:
-        for chunk in encoder.iterencode(report_to_dict(report, points=np.asarray)):
+        for chunk in encoder.iterencode(report_to_dict(report)):
             if not pending:
                 fh.write(chunk)
                 continue
@@ -472,10 +471,10 @@ def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
     *features, labels, splits = raw.columns
     bad = []  # (row, problem) of the first failure of each check, in check order
     for column in features:
-        if isinstance(column, np.ndarray):
-            at = next(iter(np.flatnonzero(~np.isfinite(column))), None)
-        else:  # text among the numbers
+        if column.dtype == object:  # text among the numbers
             at = next(i for i, c in enumerate(column) if isinstance(c, str) or not math.isfinite(c))
+        else:
+            at = next(iter(np.flatnonzero(~np.isfinite(column))), None)
         if at is None:
             continue
         cell = column[at]
@@ -487,7 +486,7 @@ def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
         (labels, (-1.0, 1.0), "label must be -1 or 1"),
         (splits, SPLIT_NAMES, f"split must be one of {', '.join(SPLIT_NAMES)}"),
     ):
-        cells = column.tolist() if isinstance(column, np.ndarray) else column
+        cells = column.tolist()
         at = next((i for i, cell in enumerate(cells) if cell not in allowed), None)
         if at is not None:
             bad.append((at, f"{rule}, found {cells[at]!r}"))
@@ -496,5 +495,5 @@ def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
         raise ValueError(f"{path}:{line_of(path, at)}: {problem}")
     return (
         FeatureMatrix(values=np.column_stack(features), labels=np.where(labels > 0, 1, -1)),
-        np.asarray(splits),
+        splits,
     )

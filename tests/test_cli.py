@@ -320,8 +320,20 @@ def _edit_points(key, points):
         ),
         (lambda payload: payload.pop("histories"), "missing key 'histories'"),
         (lambda payload: payload["curves"]["qnn_clean_roc"].pop("auc"), "missing key 'auc'"),
+        (lambda payload: payload["curves"].pop("nn_clean_roc"), "missing key 'nn_clean_roc'"),
+        (lambda payload: payload["circuit"].pop("depth"), "missing key 'depth'"),
+        (lambda payload: payload["config"].pop("seed"), "missing key 'seed'"),
     ],
-    ids=["three-columns", "flat", "empty-pair", "no-histories", "no-auc"],
+    ids=[
+        "three-columns",
+        "flat",
+        "empty-pair",
+        "no-histories",
+        "no-auc",
+        "no-curve",
+        "no-depth",
+        "no-config-field",
+    ],
 )
 def test_report_refuses_a_malformed_report_json(synth_csv, tmp_path, capsys, edit, problem):
     out = tmp_path / "out"

@@ -218,18 +218,48 @@ def test_ingest_matches_per_cell_reference(tmp_path_factory, generated, chunk_ro
         assert a.tobytes() == b.tobytes()
 
 
-def test_numeric_columns_are_arrays_and_text_columns_lists(tmp_path):
+def test_numeric_columns_are_float64_and_text_columns_object_arrays(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("a,b,c,class\n 1.5 ,x,1,0\n2, y ,z,1\n", encoding="utf-8")
     raw = load_csv(path, "class")
     a, b, c, label = raw.columns
-    np.testing.assert_array_equal(a, [1.5, 2.0])
-    assert a.dtype == np.float64
-    assert b == ["x", "y"]
-    assert c == [1.0, "z"]  # a numeric cell in a text column stays a float
-    np.testing.assert_array_equal(label, [0.0, 1.0])
+    assert a.dtype == label.dtype == np.float64
+    assert a.tolist() == [1.5, 2.0] and label.tolist() == [0.0, 1.0]
+    assert b.dtype == c.dtype == object
+    assert b.tolist() == ["x", "y"]
+    assert c.tolist() == [1.0, "z"]  # a numeric cell in a text column stays a float
+    assert type(c[0]) is float
     with pytest.raises(ValueError, match="mixes"):
         encode_and_normalize(raw)
+
+
+def test_a_later_text_chunk_makes_a_numeric_column_text(tmp_path):
+    # one record per chunk: the column's first two chunks are float64, its third object
+    path = tmp_path / "data.csv"
+    path.write_text("a,class\n1,0\n2,1\nx,0\n")
+    with mock.patch.object(data_module, "CHUNK_ROWS", 1):
+        raw = load_csv(path, "class")
+    column = raw.columns[0]
+    assert column.dtype == object
+    assert column.tolist() == [1.0, 2.0, "x"]
+    assert [type(v) for v in column] == [float, float, str]  # not np.float64
+    assert raw.columns[1].dtype == np.float64
+    with pytest.raises(ValueError, match="column 'a' mixes numeric and text cells"):
+        encode_and_normalize(raw)
+
+
+def test_text_label_whose_first_chunk_looks_numeric(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("a,class\n0.5,1\n0.25,benign\n0.75,1\n0.0,benign\n")
+    with mock.patch.object(data_module, "CHUNK_ROWS", 1):
+        raw = load_csv(path, "class")
+    assert raw.columns[1].dtype == object
+    assert raw.columns[1].tolist() == [1.0, "benign", 1.0, "benign"]
+    labels = encode_and_normalize(raw).labels
+    # text and a number do not sort, so the first to appear becomes -1
+    np.testing.assert_array_equal(labels, [-1, 1, -1, 1])
+    header, rows = reference_load(path, "class")
+    assert labels.tobytes() == reference_encode(header, rows, "class").labels.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -249,7 +279,7 @@ def test_cells_only_float_reads_are_numbers(tmp_path, text, numeric, chunk_rows)
     path.write_text(text, encoding="utf-8")
     with mock.patch.object(data_module, "CHUNK_ROWS", chunk_rows):
         raw = load_csv(path, "class")
-    assert isinstance(raw.columns[0], np.ndarray) == numeric
+    assert raw.columns[0].dtype == (np.float64 if numeric else object)
     header, rows = reference_load(path, "class")
     assert repr(list(raw.rows)) == repr(rows)
     got = outcome(lambda: encode_and_normalize(raw).values.tobytes())

@@ -86,12 +86,13 @@ def test_load_empty_cell_is_error(tmp_path):
 
 
 def raw_from(columns, rows, label="class"):
-    """Columnar dataset from rows: all-float columns become arrays, as load_csv builds them."""
+    """Columnar dataset from rows, as load_csv builds it: a column is float64
+    when every cell is a float, else an object array of its cells."""
     from qmlrobust.data import RawDataset
 
     cells = [list(col) for col in zip(*rows)]
     parsed = [
-        np.asarray(col, dtype=float) if all(isinstance(v, float) for v in col) else col
+        np.array(col, dtype=float if all(isinstance(v, float) for v in col) else object)
         for col in cells
     ]
     return RawDataset(column_names=columns, columns=parsed, label_column=label)

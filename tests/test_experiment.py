@@ -15,7 +15,6 @@ from qmlrobust.experiment import (
     load_report_json,
     read_reduced_csv,
     reduce_dataset,
-    report_from_dict,
     report_to_dict,
     run_pipeline,
     save_report_json,
@@ -46,6 +45,12 @@ def quick_config(csv_path, out_dir, **overrides):
 
 def read_dir_bytes(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
+
+
+def report_json(report):
+    """The report as json.dumps writes it; arrays inside dicts do not compare with ==."""
+    payload = report_to_dict(report)
+    return json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 # --- seeds and config ---------------------------------------------------------
@@ -131,7 +136,7 @@ def test_same_config_same_report(synth_csv, tmp_path):
     cfg = quick_config(synth_csv, tmp_path / "out", epochs=6)
     a, _ = run_pipeline(cfg)
     b, _ = run_pipeline(cfg)
-    assert report_to_dict(a) == report_to_dict(b)
+    assert report_json(a) == report_json(b)
 
 
 # --- emission --------------------------------------------------------------------
@@ -190,7 +195,7 @@ def test_report_json_round_trip(synth_csv, tmp_path):
     path = tmp_path / "report.json"
     save_report_json(report, path)
     again = load_report_json(path)
-    assert report_to_dict(again) == report_to_dict(report)
+    assert report_json(again) == report_json(report)
 
 
 @pytest.mark.parametrize("n_points", [0, 1, 2, 5000])
@@ -209,8 +214,7 @@ def test_save_report_json_matches_json_dumps(synth_csv, tmp_path, n_points):
     report.config["data_path"] = "\x00points 0\x00"
     path = tmp_path / "report.json"
     save_report_json(report, path)
-    expected = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-    assert path.read_text(encoding="utf-8") == expected
+    assert path.read_text(encoding="utf-8") == report_json(report)
 
 
 def test_save_report_json_memory_is_bounded_by_a_chunk(synth_csv, tmp_path):
@@ -229,8 +233,7 @@ def test_save_report_json_memory_is_bounded_by_a_chunk(synth_csv, tmp_path):
         tracemalloc.stop()
     # a Python list per point, or a copy of the whole text, would take ~20 MiB
     assert peak < 4 * 2**20
-    expected = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-    assert path.read_text(encoding="utf-8") == expected
+    assert path.read_text(encoding="utf-8") == report_json(report)
 
 
 def test_empty_curve_survives_save_load_and_emit(synth_csv, tmp_path):
