@@ -94,6 +94,9 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
     UTF-8 byte-order mark are skipped. An error names the file line on which
     the bad record ends, as `csv.reader.line_num` counts it, so quoted cells
     that span lines count.
+
+    A column's chunks are joined and dropped before the next column's are,
+    so the chunks and the joined columns are not all held at once.
     """
     path = Path(path)
     if not path.exists():
@@ -135,7 +138,7 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
     if label_column not in header:
         raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
     # one object chunk makes the column object, its numbers Python floats
-    columns = [np.concatenate(piece) for piece in pieces]
+    columns = [np.concatenate(pieces.pop(0)) for _ in header]
     return RawDataset(column_names=header, columns=columns, label_column=label_column)
 
 

@@ -10,6 +10,11 @@ in checkpoint order: per layer, the weights W (out, in) row-major, then the
 biases b (out). `_layers` views a parameter or gradient vector as (W, b)s.
 The activations are the only cache between the passes: a rectifier's input
 is positive exactly where its output is, so backprop reads its mask off them.
+
+**Buffers.** `_forward` fills the `_buffers` [X, h1, ..., out] in place, and
+`_backprop` overwrites each spent hidden activation with that layer's delta.
+`train_mlp` allocates its buffers once and refills them every epoch; X is
+never written to.
 """
 from __future__ import annotations
 
@@ -67,16 +72,31 @@ def init_mlp(layer_sizes: list[int], seed: int) -> MlpModel:
     return MlpModel(layer_sizes=list(layer_sizes), params=np.concatenate(draws))
 
 
-def _forward(model: MlpModel, X: np.ndarray) -> list[np.ndarray]:
-    """Activations [X, h1, ..., out]: each layer's fresh pre-activation, activated in
-    place (rectifier on hidden layers, tanh on the output unit); X is never written to."""
-    hs = [X]
+def _buffers(sizes: list[int], X: np.ndarray) -> list[np.ndarray]:
+    """[X, h1, ..., out]: the input, then an unfilled activation buffer per layer."""
+    return [X] + [np.empty((len(X), width)) for width in sizes[1:]]
+
+
+def _mask(sizes: list[int], n_rows: int) -> np.ndarray:
+    """Flat bool buffer for the rectifier mask of the widest hidden layer."""
+    return np.empty(n_rows * max(sizes[1:-1], default=0), dtype=bool)
+
+
+def _forward(model: MlpModel, hs: list[np.ndarray]) -> np.ndarray:
+    """Fill hs[1:] of `_buffers` from hs[0] in place; returns the scores, a view of hs[-1].
+
+    Each layer writes hs[l-1] @ W.T into hs[l], adds b and activates in place
+    (rectifier on hidden layers, tanh on the output unit); hs[0] is never written to.
+    """
     layers = _layers(model.layer_sizes, model.params)
     for depth, (W, b) in enumerate(layers, start=1):
-        z = hs[-1] @ W.T
+        z = np.matmul(hs[depth - 1], W.T, out=hs[depth])
         z += b
-        hs.append(np.tanh(z, out=z) if depth == len(layers) else np.maximum(z, 0.0, out=z))
-    return hs
+        if depth == len(layers):
+            np.tanh(z, out=z)
+        else:
+            np.maximum(z, 0.0, out=z)
+    return hs[-1][:, 0]
 
 
 def mlp_scores(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -84,7 +104,7 @@ def mlp_scores(model: MlpModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_inputs:
         raise ValueError(f"expected (batch, {model.n_inputs}) features, got {X.shape}")
-    return _forward(model, X)[-1][:, 0]
+    return _forward(model, _buffers(model.layer_sizes, X))
 
 
 def mlp_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -97,11 +117,17 @@ def mlp_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    return _backprop(model, y, _forward(model, X))
+    hs = _buffers(model.layer_sizes, X)
+    _forward(model, hs)
+    return _backprop(model, y, hs, _mask(model.layer_sizes, len(X)))
 
 
-def _backprop(model: MlpModel, y: np.ndarray, hs: list[np.ndarray]) -> np.ndarray:
-    """Backward pass of `mlp_gradients` from `_forward`'s activations; masks by h > 0."""
+def _backprop(model: MlpModel, y: np.ndarray, hs: list[np.ndarray], mask: np.ndarray) -> np.ndarray:
+    """Backward pass of `mlp_gradients` from `_forward`'s activations; masks by h > 0.
+
+    Each hidden buffer takes its layer's delta, h = (delta @ W) * (h > 0), the
+    mask read into `mask` first; hs[0] and hs[-1] are left unchanged.
+    """
     # d(mean hinge)/d(score), then through tanh
     scores = hs[-1][:, 0]
     dscore = hinge_weights(y, scores)
@@ -113,7 +139,10 @@ def _backprop(model: MlpModel, y: np.ndarray, hs: list[np.ndarray]) -> np.ndarra
         np.matmul(delta.T, hs[l], out=gW)
         delta.sum(axis=0, out=gb)
         if l > 0:
-            delta = (delta @ weights[l][0]) * (hs[l] > 0.0)
+            h = hs[l]
+            live = np.greater(h, 0.0, out=mask[: h.size].reshape(h.shape))
+            delta = np.matmul(delta, weights[l][0], out=h)
+            h *= live
     return grads
 
 
@@ -126,24 +155,25 @@ def train_mlp(
 ) -> tuple[MlpModel, list[EpochRecord]]:
     """Full-batch Adam on all weights and biases from `model`; one history record per epoch.
 
-    The caller's model is left unchanged.
+    The buffers of both passes are allocated once. The caller's model is left unchanged.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if train.n_samples == 0 or val.n_samples == 0:
         raise ValueError("train and validation sets must be non-empty")
     adam = AdamState.fresh(model.n_params, learning_rate)
+    train_hs = _buffers(model.layer_sizes, train.values)
+    val_hs = _buffers(model.layer_sizes, val.values)
+    mask = _mask(model.layer_sizes, train.n_samples)
 
     history: list[EpochRecord] = []
     # the post-step forward pass gives this epoch's train loss and the next gradient
-    hs = _forward(model, train.values)
+    _forward(model, train_hs)
     for _ in range(epochs):
-        grads = _backprop(model, train.labels, hs)
-        del hs  # free these activations before the next pass allocates its own
+        grads = _backprop(model, train.labels, train_hs, mask)
         adam, new_params = adam_step(adam, model.params, grads)
         model = replace(model, params=new_params)
-        hs = _forward(model, train.values)
-        history.append(epoch_record(train, hs[-1][:, 0], val, mlp_scores(model, val.values)))
+        history.append(epoch_record(train, _forward(model, train_hs), val, _forward(model, val_hs)))
     return model, history
 
 

@@ -6,6 +6,7 @@ A UTF-8 byte-order mark before the header is skipped.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -97,19 +98,20 @@ def load_checkpoint(path: str | Path, kind: str) -> tuple[list[int], np.ndarray]
     """(header sizes, params) of a `save_checkpoint` file whose header starts with `kind`.
 
     Every parameter must be a finite number. Errors name the path, and a
-    non-finite value its line; the caller's model checks the sizes and the
-    count.
+    parameter that does not parse or is not finite its line; the caller's
+    model checks the sizes and the count.
     """
     lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     head = lines[0].split() if lines else []
     if head[:1] != [kind] or not all(v.isdecimal() for v in head[1:]):
         raise ValueError(f"{path}: expected a '{kind} <sizes>' header, found {' '.join(head)!r}")
-    try:
-        params = np.asarray([float(v) for v in lines[1:]])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    nonfinite = np.flatnonzero(~np.isfinite(params))
-    if nonfinite.size:
-        at = int(nonfinite[0]) + 1  # index into lines; the header is line 1
-        raise ValueError(f"{path}:{at + 1}: parameter must be finite, found {lines[at].strip()!r}")
-    return [int(v) for v in head[1:]], params
+    params = []
+    for at, text in enumerate(lines[1:], start=2):  # the header is line 1
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{at}: {exc}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{at}: parameter must be finite, found {text.strip()!r}")
+        params.append(value)
+    return [int(v) for v in head[1:]], np.asarray(params)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, scale_to_unit
+from .data import CHUNK_ROWS, FeatureMatrix, scale_to_unit
 
 
 @dataclass
@@ -74,6 +74,13 @@ def project(model: PcaModel, values: np.ndarray) -> np.ndarray:
 
 
 def transform_pca(model: PcaModel, data: FeatureMatrix) -> FeatureMatrix:
-    """Project, rescale each coordinate to [0,1] by training range, clip, keep labels."""
-    scaled = scale_to_unit(project(model, data.values), model.proj_min, model.proj_max)
-    return FeatureMatrix(values=np.clip(scaled, 0.0, 1.0, out=scaled), labels=data.labels.copy())
+    """Project, rescale each coordinate to [0,1] by training range, clip, keep labels.
+
+    Rows are projected `CHUNK_ROWS` at a time into the n×k output, so no
+    centered n×d copy is made; a row's bits do not depend on its block.
+    """
+    X, out = data.values, np.empty((data.n_samples, len(model.components)))
+    for start in range(0, data.n_samples, CHUNK_ROWS):
+        out[start : start + CHUNK_ROWS] = project(model, X[start : start + CHUNK_ROWS])
+    scale_to_unit(out, model.proj_min, model.proj_max)
+    return FeatureMatrix(values=np.clip(out, 0.0, 1.0, out=out), labels=data.labels.copy())

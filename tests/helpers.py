@@ -1,10 +1,12 @@
 """Test-only data builders and readers: a separable synthetic dataset, its
 raw CSV form, a reader for the report's curve CSVs, a brute-force circuit
-depth, and a script's output at one and at two BLAS threads."""
+depth, a script's output at one and at two BLAS threads, and a call's
+traced peak memory."""
 import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,3 +85,17 @@ def stdout_at_blas_threads(script: str) -> list[str]:
         )
         outputs.append(run.stdout)
     return outputs
+
+
+def traced_peak(call, *args):
+    """(call(*args), the peak bytes tracemalloc traced while it ran).
+
+    numpy reports its array buffers to tracemalloc, so the peak counts them
+    beside Python objects; what existed before the call is not counted.
+    """
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

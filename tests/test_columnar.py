@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import make_separable, traced_peak, write_labeled_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,6 +217,17 @@ def test_ingest_matches_per_cell_reference(tmp_path_factory, generated, chunk_ro
         a, b = getattr(got[1], field), getattr(expected[1], field)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def test_ingest_memory_is_bounded_near_its_columns(tmp_path):
+    path = tmp_path / "data.csv"
+    write_labeled_csv(make_separable(20000, 7, seed=4), path)
+    # short chunks keep one chunk's parsed text small beside the columns
+    with mock.patch.object(data_module, "CHUNK_ROWS", 256):
+        raw, peak = traced_peak(load_csv, path, "class")
+    columns = sum(col.nbytes for col in raw.columns)
+    # every chunk's pieces held beside the joined columns would take twice the columns
+    assert peak < 1.6 * columns
 
 
 def test_numeric_columns_are_float64_and_text_columns_object_arrays(tmp_path):

@@ -1,11 +1,10 @@
 import copy
 import json
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import make_separable, read_curve_csv, write_labeled_csv
+from helpers import make_separable, read_curve_csv, traced_peak, write_labeled_csv
 
 from qmlrobust.cli import main
 from qmlrobust.data import FeatureMatrix, subset
@@ -225,12 +224,7 @@ def test_save_report_json_memory_is_bounded_by_a_chunk(synth_csv, tmp_path):
         for key, c in report.curves.items()
     }
     path = tmp_path / "report.json"
-    tracemalloc.start()
-    try:
-        save_report_json(report, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(save_report_json, report, path)
     # a Python list per point, or a copy of the whole text, would take ~20 MiB
     assert peak < 4 * 2**20
     assert path.read_text(encoding="utf-8") == report_json(report)

@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import traced_peak
 
 from qmlrobust.data import FeatureMatrix
 from qmlrobust.mlp import (
     MlpModel,
+    _buffers,
     _forward,
     _layers,
     init_mlp,
@@ -42,8 +44,8 @@ def clean_instance(rng, widths=(4, 6, 3, 1), batch=8):
         model = init_mlp(list(widths), seed=int(rng.integers(1 << 30)))
         X = rng.uniform(0, 1, size=(batch, widths[0]))
         y = rng.choice([-1, 1], size=batch)
-        hs = _forward(model, X)
-        if np.any(np.abs(y * hs[-1][:, 0] - 1.0) < 1e-3):
+        hs = _buffers(model.layer_sizes, X)
+        if np.any(np.abs(y * _forward(model, hs) - 1.0) < 1e-3):
             continue
         hidden = _layers(model.layer_sizes, model.params)[:-1]
         if any(np.any(np.abs(h @ W.T + b) < 1e-4) for h, (W, b) in zip(hs, hidden)):
@@ -171,15 +173,25 @@ def test_gradient_at_exact_zero_pre_activation_matches_reference():
     model.params[: 5 * 3 + 5] = 0.0
     X = rng.uniform(0, 1, size=(9, 3))
     y = rng.choice([-1, 1], size=9)
-    assert not np.any(_forward(model, X)[1])
+    hs = _buffers(model.layer_sizes, X)
+    _forward(model, hs)
+    assert not np.any(hs[1])
     grads = mlp_gradients(model, X, y)
     assert grads.tobytes() == reference_gradients(model, X, y)[0].tobytes()
 
 
+def train_on_halves(model, X):
+    """`train_mlp` with the first half of X's rows as train and the rest as validation."""
+    labels = np.where(X[:, 0] > 0.0, 1, -1)
+    half = len(X) // 2
+    train = FeatureMatrix(X[:half], labels[:half])
+    train_mlp(model, train, FeatureMatrix(X[half:], labels[half:]), epochs=3)
+
+
 @pytest.mark.parametrize(
     "call",
-    [mlp_scores, lambda m, X: mlp_gradients(m, X, np.ones(len(X)))],
-    ids=["scores", "gradients"],
+    [mlp_scores, lambda m, X: mlp_gradients(m, X, np.ones(len(X))), train_on_halves],
+    ids=["scores", "gradients", "train"],
 )
 def test_forward_leaves_input_unchanged(call):
     X = np.random.default_rng(14).uniform(-1, 1, size=(12, 4))
@@ -226,6 +238,20 @@ def test_training_matches_pre_activation_reference_bytes(sizes):
     params, expected = reference_train(model, train, val, epochs=20)
     assert trained.params.tobytes() == params.tobytes()
     assert repr(history) == repr(expected)
+
+
+def test_training_memory_is_bounded_by_its_buffers():
+    sizes, n_train, n_val = [2, 32, 16, 1], 12000, 4000
+    rng = np.random.default_rng(18)
+    values = rng.uniform(0, 1, size=(n_train + n_val, 2))
+    labels = np.where(values.sum(axis=1) > 1.0, 1, -1)
+    train = FeatureMatrix(values[:n_train], labels[:n_train])
+    val = FeatureMatrix(values[n_train:], labels[n_train:])
+    _, peak = traced_peak(train_mlp, init_mlp(sizes, seed=5), train, val, 5)
+    # train and validation activations, then the rectifier mask of the widest hidden layer
+    buffers = (n_train + n_val) * sum(sizes[1:]) * 8 + n_train * max(sizes[1:-1])
+    # a fresh activation or delta of the 32-wide layer per pass would add 2.9 MiB
+    assert peak < buffers + 2**20
 
 
 def test_identical_seeds_identical_weights():

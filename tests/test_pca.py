@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from helpers import stdout_at_blas_threads
+from helpers import stdout_at_blas_threads, traced_peak
 
-from qmlrobust.data import FeatureMatrix
+from qmlrobust.data import CHUNK_ROWS, FeatureMatrix, scale_to_unit
 from qmlrobust.pca import PcaModel, fit_pca, project, transform_pca
 
 
@@ -210,6 +210,26 @@ def test_transform_maps_a_zero_span_component_to_positive_zero():
     model = PcaModel(mean=np.zeros(2), components=np.eye(2), proj_min=lo, proj_max=hi)
     out = transform_pca(model, matrix([[-1.0, -0.0], [0.0, 3.0], [5.0, -7.0]]))
     assert out.values.tobytes() == np.array([[0.25, 0.0], [0.5, 0.0], [1.0, 0.0]]).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_blocked_transform_matches_the_one_shot_projection_bytes(k):
+    rng = np.random.default_rng(25)
+    values = rng.uniform(0, 1, size=(2 * CHUNK_ROWS + 7, 12))
+    model = fit_pca(matrix(values[:300]), k)  # fit on a few rows, so some of the rest clip
+    one_shot = (values - model.mean) @ model.components.T
+    expected = np.clip(scale_to_unit(one_shot, model.proj_min, model.proj_max), 0.0, 1.0)
+    assert transform_pca(model, matrix(values)).values.tobytes() == expected.tobytes()
+
+
+def test_transform_memory_is_bounded_by_its_output_and_a_block():
+    rng = np.random.default_rng(26)
+    n, d = 20000, 30
+    data = matrix(rng.uniform(0, 1, size=(n, d)))
+    model = fit_pca(matrix(data.values[:1000]), k=4)
+    out, peak = traced_peak(transform_pca, model, data)
+    # a centered n×d copy of the data would add 4.6 MiB
+    assert peak < out.values.nbytes + out.labels.nbytes + 2 * CHUNK_ROWS * d * 8
 
 
 def test_transform_dimension_mismatch():
