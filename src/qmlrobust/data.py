@@ -3,11 +3,12 @@
 Ingest is columnar: `load_csv` reads the file in chunks of `CHUNK_ROWS`
 records, transposes each chunk and parses every column with one numpy
 call, so no Python code runs per cell on the numeric path. Every column
-is one numpy array: float64 when every cell is a number, otherwise an
-object array of its stripped text. The per-cell scan that names the
-offending line runs only after a check has failed. The reduced CSV that
-`preprocess`, `attack` and `evaluate` exchange is read through `load_csv`
-too, and its checks name lines with `line_of`.
+is one numpy array, allocated once and filled chunk by chunk in place:
+float64 when every cell is a number, otherwise an object array of its
+stripped text. The per-cell scan that names the offending line runs only
+after a check has failed. The reduced CSV that `preprocess`, `attack` and
+`evaluate` exchange is read through `load_csv` too, and its checks name
+lines with `line_of`.
 
 The split layout follows the experiment protocol: 20% of the samples are
 held out for the fine-tune/attack set, and the remaining 80% is divided
@@ -95,12 +96,18 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
     the bad record ends, as `csv.reader.line_num` counts it, so quoted cells
     that span lines count.
 
-    A column's chunks are joined and dropped before the next column's are,
-    so the chunks and the joined columns are not all held at once.
+    Each column is allocated once, a row per line end, and every chunk is
+    parsed into it in place; a text chunk turns a float64 column into an
+    object column, its earlier numbers Python floats.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
+    capacity = 0
+    with open(path, "rb") as fh:  # at most one record per "\n", "\r\n" or lone "\r"
+        while block := fh.read(1 << 16):  # a "\r\n" split between two counts twice
+            lf, cr = (np.frombuffer(block, np.uint8) == c for c in b"\n\r")
+            capacity += np.count_nonzero(lf | cr) - np.count_nonzero(cr[:-1] & lf[1:])
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -109,7 +116,7 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
             raise ValueError(f"{path}: empty file, expected a header line") from None
         header = [name.strip() for name in header]
         width = len(header)
-        pieces: list[list[np.ndarray]] = [[] for _ in header]
+        columns = [np.empty(capacity) for _ in header]
         n_rows = 0
         while chunk := list(islice(reader, CHUNK_ROWS)):
             ragged = None
@@ -125,20 +132,22 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
                         f"{path}:{line_of(path, n_rows + at)}: empty cell "
                         "(missing values are not supported)"
                     )
-                for piece, col in zip(pieces, parsed):
-                    piece.append(col)
+                for j, col in enumerate(parsed):
+                    if col.dtype == object and columns[j].dtype != object:
+                        tail = np.empty(capacity - n_rows, object)  # numbers above: Python floats
+                        columns[j] = np.concatenate([columns[j][:n_rows], tail])
+                    columns[j][n_rows : n_rows + len(records)] = col
                 n_rows += len(records)
             if ragged is not None:
                 raise ValueError(
                     f"{path}:{line_of(path, n_rows)}: expected {width} cells, "
                     f"got {len(chunk[ragged])}"
                 )
-    if not any(pieces):
+    if n_rows == 0:
         raise ValueError(f"{path}: no samples (header only)")
     if label_column not in header:
         raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
-    # one object chunk makes the column object, its numbers Python floats
-    columns = [np.concatenate(pieces.pop(0)) for _ in header]
+    columns = [col[:n_rows] for col in columns]  # the filled prefix
     return RawDataset(column_names=header, columns=columns, label_column=label_column)
 
 

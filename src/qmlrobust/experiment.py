@@ -166,7 +166,7 @@ def reduce_dataset(cfg: ExperimentConfig) -> tuple[FeatureMatrix, np.ndarray]:
     with _stage("split"):
         names = shuffle_and_split(features, stage_seed(cfg.seed, "shuffle"))
     with _stage("pca"):
-        pca = fit_pca(subset(features, names == "train"), cfg.pca_components)
+        pca = fit_pca(features, cfg.pca_components, names == "train")
         reduced = transform_pca(pca, features)
     return reduced, names
 
@@ -183,6 +183,9 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[Report, dict[str, MlpModel | Qn
     cfg.validate()
     reduced, names = reduce_dataset(cfg)
     train, val, test, finetune = (subset(reduced, names == name) for name in SPLIT_NAMES)
+    n_neg, n_pos = np.bincount(test.labels > 0, minlength=2)
+    if not n_neg or not n_pos:  # refused before either model trains
+        raise ValueError(f"test split has {n_pos} positive, {n_neg} negative rows; ROC needs both")
     k = cfg.pca_components
 
     # built per run, not at import: a function rebound on this module after

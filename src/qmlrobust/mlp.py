@@ -13,8 +13,8 @@ is positive exactly where its output is, so backprop reads its mask off them.
 
 **Buffers.** `_forward` fills the `_buffers` [X, h1, ..., out] in place, and
 `_backprop` overwrites each spent hidden activation with that layer's delta.
-`train_mlp` allocates its buffers once and refills them every epoch; X is
-never written to.
+`train_mlp` allocates one set for the larger of its train and validation
+sets and refills it every epoch; X is never written to.
 """
 from __future__ import annotations
 
@@ -155,15 +155,15 @@ def train_mlp(
 ) -> tuple[MlpModel, list[EpochRecord]]:
     """Full-batch Adam on all weights and biases from `model`; one history record per epoch.
 
-    The buffers of both passes are allocated once. The caller's model is left unchanged.
+    Both sets are scored in one set of buffers; the caller's model is left unchanged.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if train.n_samples == 0 or val.n_samples == 0:
         raise ValueError("train and validation sets must be non-empty")
     adam = AdamState.fresh(model.n_params, learning_rate)
-    train_hs = _buffers(model.layer_sizes, train.values)
-    val_hs = _buffers(model.layer_sizes, val.values)
+    hs = _buffers(model.layer_sizes, max(train.values, val.values, key=len))
+    train_hs, val_hs = ([X] + [h[: len(X)] for h in hs[1:]] for X in (train.values, val.values))
     mask = _mask(model.layer_sizes, train.n_samples)
 
     history: list[EpochRecord] = []
@@ -173,7 +173,8 @@ def train_mlp(
         grads = _backprop(model, train.labels, train_hs, mask)
         adam, new_params = adam_step(adam, model.params, grads)
         model = replace(model, params=new_params)
-        history.append(epoch_record(train, _forward(model, train_hs), val, _forward(model, val_hs)))
+        val_scores = _forward(model, val_hs).copy()  # before the train pass overwrites it
+        history.append(epoch_record(train, _forward(model, train_hs), val, val_scores))
     return model, history
 
 

@@ -26,24 +26,26 @@ class PcaModel:
         return self.components.shape[1]
 
 
-def fit_pca(data: FeatureMatrix, k: int) -> PcaModel:
-    """Top-k principal directions of the sample covariance (ddof=1).
+def fit_pca(data: FeatureMatrix, k: int, rows: np.ndarray | None = None) -> PcaModel:
+    """Top-k principal directions of the sample covariance (ddof=1) of the
+    rows an index array or boolean mask `rows` selects, or of all rows.
 
     They are the top eigenvectors of the d×d scatter matrix: O(n·d² + d³)
-    time and d² memory (an SVD holds n×d). Its row sum is an einsum, not
-    BLAS, so the bits do not depend on the BLAS thread count. It squares the
-    condition number, which the top-k, largest-eigenvalue components afford.
+    time, and d² memory beside one centered n×d copy of the rows (`data` is
+    never written to). Its row sum is an einsum, not BLAS, so the bits do
+    not depend on the BLAS thread count. It squares the condition number,
+    which the top-k, largest-eigenvalue components afford.
 
     Sign convention: the largest-magnitude entry of each component is
     made nonnegative, so the decomposition is unique up to eigenvalue ties
     (within a tied eigenspace, eigh picks the basis).
     """
-    X = data.values
-    n, d = X.shape
+    centered = np.copy(data.values) if rows is None else data.values[rows]  # centered in place
+    n, d = centered.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} out of range for a {n}x{d} matrix")
-    mean = X.mean(axis=0)
-    centered = X - mean
+    mean = centered.mean(axis=0)
+    centered -= mean
     if not np.any(centered):
         raise ValueError("all rows identical: zero-variance data has no principal directions")
 

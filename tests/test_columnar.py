@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmlrobust import data as data_module
+from qmlrobust.cli import main
 from qmlrobust.data import FeatureMatrix, encode_and_normalize, load_csv
 from qmlrobust.experiment import (
     _MARGIN_B,
@@ -184,7 +185,9 @@ def csv_files(draw):
         if draw(st.integers(0, 5)) == 0:
             lines.append("")  # blank line, skipped but counted
     label = draw(st.sampled_from(["class"] * 4 + ["absent"]))
-    return "\n".join(lines) + "\n", label
+    # csv.reader splits lines on all three terminators; the last may be missing
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""])), label
 
 
 @settings(max_examples=300, deadline=None)
@@ -192,7 +195,7 @@ def csv_files(draw):
 def test_ingest_matches_per_cell_reference(tmp_path_factory, generated, chunk_rows):
     text, label = generated
     path = tmp_path_factory.mktemp("csv") / "data.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", newline="")
 
     expected_rows = outcome(lambda: reference_load(path, label))
     with mock.patch.object(data_module, "CHUNK_ROWS", chunk_rows):
@@ -217,6 +220,28 @@ def test_ingest_matches_per_cell_reference(tmp_path_factory, generated, chunk_ro
         a, b = getattr(got[1], field), getattr(expected[1], field)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def test_each_line_terminator_gives_the_same_run(tmp_path):
+    rng = np.random.default_rng(30)
+    data = make_separable(120, 3, seed=6)
+    lines = ["a,b,c,colour,class"] + [
+        ",".join([*(format(v, ".6f") for v in row), rng.choice(["red", "blue"]),
+                  "malware" if label > 0 else "benign"])
+        for row, label in zip(data.values, data.labels)
+    ]  # fmt: skip
+    artifacts = set()
+    for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        argv = ["run", "--data-path", str(path), "--output-dir", str(tmp_path / "out"),
+                "--label-column", "class", "--pca-components", "2", "--qnn-layers", "1",
+                "--epochs", "3", "--mlp-hidden", "4"]  # fmt: skip
+        assert main(argv) == 0
+        files = sorted((tmp_path / "out").iterdir())
+        text = b"".join(f.name.encode() + f.read_bytes() for f in files)
+        artifacts.add(b"\n".join(ln for ln in text.split(b"\n") if b"data_path" not in ln))
+    assert len(artifacts) == 1
 
 
 def test_ingest_memory_is_bounded_near_its_columns(tmp_path):

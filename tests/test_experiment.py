@@ -1,6 +1,7 @@
 import copy
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,6 +84,20 @@ def test_unreadable_data_reports_stage(tmp_path):
     cfg = quick_config(tmp_path / "missing.csv", tmp_path / "out")
     with pytest.raises(RuntimeError, match="stage 'load'"):
         run_pipeline(cfg)
+
+
+def test_one_class_test_split_is_refused_before_training(tmp_path):
+    # 10 rows leave one test row, so its ROC and PR curves cannot be drawn
+    path = tmp_path / "ten.csv"
+    write_labeled_csv(make_separable(10, 4, seed=1), path)
+    cfg = quick_config(path, tmp_path / "out", epochs=50)
+    with mock.patch("qmlrobust.experiment.train_mlp") as trained:
+        with pytest.raises(ValueError, match=r"^test split has (1 positive, 0|0 positive, 1) "):
+            run_pipeline(cfg)
+    trained.assert_not_called()
+    # preprocess draws no curves, so it still reduces such a table
+    assert main(["preprocess", "--data-path", str(path), "--pca-components", "3",
+                 "--output", str(tmp_path / "reduced.csv")]) == 0  # fmt: skip
 
 
 # --- pipeline behavior ----------------------------------------------------------

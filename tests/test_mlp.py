@@ -227,12 +227,18 @@ def test_learns_separable_two_feature_data():
     assert history[-1].val_accuracy >= 0.95
 
 
-@pytest.mark.parametrize("sizes", [[2, 32, 16, 1], [5, 1]], ids=["tabular-ingest", "one-layer"])
-def test_training_matches_pre_activation_reference_bytes(sizes):
+@pytest.mark.parametrize(
+    "sizes, n_train",
+    [([2, 32, 16, 1], 240), ([5, 1], 240), ([2, 32, 16, 1], 60)],
+    ids=["tabular-ingest", "one-layer", "more-validation-rows"],
+)
+def test_training_matches_pre_activation_reference_bytes(sizes, n_train):
+    # the buffers are sized for the larger set; the smaller one's passes use their first rows
     rng = np.random.default_rng(15)
     values = rng.uniform(0, 1, size=(300, sizes[0]))
     labels = np.where(values.sum(axis=1) + 0.2 * rng.standard_normal(300) > sizes[0] / 2, 1, -1)
-    train, val = FeatureMatrix(values[:240], labels[:240]), FeatureMatrix(values[240:], labels[240:])
+    train = FeatureMatrix(values[:n_train], labels[:n_train])
+    val = FeatureMatrix(values[n_train:], labels[n_train:])
     model = init_mlp(sizes, seed=3)
     trained, history = train_mlp(model, train, val, epochs=20)
     params, expected = reference_train(model, train, val, epochs=20)
@@ -241,17 +247,19 @@ def test_training_matches_pre_activation_reference_bytes(sizes):
 
 
 def test_training_memory_is_bounded_by_its_buffers():
-    sizes, n_train, n_val = [2, 32, 16, 1], 12000, 4000
-    rng = np.random.default_rng(18)
-    values = rng.uniform(0, 1, size=(n_train + n_val, 2))
-    labels = np.where(values.sum(axis=1) > 1.0, 1, -1)
-    train = FeatureMatrix(values[:n_train], labels[:n_train])
-    val = FeatureMatrix(values[n_train:], labels[n_train:])
-    _, peak = traced_peak(train_mlp, init_mlp(sizes, seed=5), train, val, 5)
-    # train and validation activations, then the rectifier mask of the widest hidden layer
-    buffers = (n_train + n_val) * sum(sizes[1:]) * 8 + n_train * max(sizes[1:-1])
-    # a fresh activation or delta of the 32-wide layer per pass would add 2.9 MiB
-    assert peak < buffers + 2**20
+    sizes = [2, 32, 16, 1]
+    for n_train, n_val in ((12000, 4000), (4000, 12000)):
+        rng = np.random.default_rng(18)
+        values = rng.uniform(0, 1, size=(n_train + n_val, 2))
+        labels = np.where(values.sum(axis=1) > 1.0, 1, -1)
+        train = FeatureMatrix(values[:n_train], labels[:n_train])
+        val = FeatureMatrix(values[n_train:], labels[n_train:])
+        _, peak = traced_peak(train_mlp, init_mlp(sizes, seed=5), train, val, 5)
+        # one set of activations for the larger set, and the rectifier mask of the widest
+        # hidden layer; separate validation activations would add 1.5 MiB, and a fresh
+        # activation or delta of the 32-wide layer per pass 2.9 MiB
+        buffers = max(n_train, n_val) * sum(sizes[1:]) * 8 + n_train * max(sizes[1:-1])
+        assert peak < buffers + 2**20, (n_train, n_val)
 
 
 def test_identical_seeds_identical_weights():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from helpers import stdout_at_blas_threads, traced_peak
+from helpers import make_separable, stdout_at_blas_threads, traced_peak
 
-from qmlrobust.data import CHUNK_ROWS, FeatureMatrix, scale_to_unit
+from qmlrobust.data import CHUNK_ROWS, FeatureMatrix, scale_to_unit, shuffle_and_split, subset
 from qmlrobust.pca import PcaModel, fit_pca, project, transform_pca
 
 
@@ -230,6 +230,30 @@ def test_transform_memory_is_bounded_by_its_output_and_a_block():
     out, peak = traced_peak(transform_pca, model, data)
     # a centered n×d copy of the data would add 4.6 MiB
     assert peak < out.values.nbytes + out.labels.nbytes + 2 * CHUNK_ROWS * d * 8
+
+
+@pytest.mark.parametrize("select", ["mask", "indices", "all"])
+def test_fit_on_selected_rows_matches_a_fit_on_their_copy(select):
+    rng = np.random.default_rng(27)
+    data = matrix(rng.uniform(0, 1, size=(300, 7)))
+    mask = rng.uniform(size=300) < (1.0 if select == "all" else 0.6)
+    rows = {"mask": mask, "indices": np.flatnonzero(mask), "all": None}[select]
+    before = data.values.copy()
+    model = fit_pca(data, 3, rows)
+    assert data.values.tobytes() == before.tobytes()  # the copy is centered, not the caller's rows
+    expected = fit_pca(subset(data, mask), 3)
+    for field in ("mean", "components", "proj_min", "proj_max"):
+        assert getattr(model, field).tobytes() == getattr(expected, field).tobytes()
+
+
+def test_fit_memory_is_one_copy_of_the_training_rows():
+    # the tabular shape's width, and 24000 training rows
+    data = make_separable(50000, 22, seed=3)
+    train = shuffle_and_split(data, seed=1) == "train"
+    _, peak = traced_peak(fit_pca, data, 2, train)
+    copy, projection = train.sum() * 22 * 8, train.sum() * 2 * 8
+    # a copy of the rows and a centered copy of that copy would take 8.6 MiB
+    assert peak < copy + projection + 2**20
 
 
 def test_transform_dimension_mismatch():
