@@ -1,14 +1,14 @@
 """CSV ingestion, feature encoding/normalization, and deterministic splits.
 
-Ingest is columnar: `load_csv` reads the file in chunks of `CHUNK_ROWS`
-records, transposes each chunk and parses every column with one numpy
-call, so no Python code runs per cell on the numeric path. Every column
-is one numpy array, allocated once and filled chunk by chunk in place:
-float64 when every cell is a number, otherwise an object array of its
-stripped text. The per-cell scan that names the offending line runs only
-after a check has failed. The reduced CSV that `preprocess`, `attack` and
-`evaluate` exchange is read through `load_csv` too, and its checks name
-lines with `line_of`.
+Ingest is columnar: `load_csv` tokenizes `CHUNK_ROWS` records at a time (by
+`str.split` if the file holds no quote, else by `csv.reader`), transposes
+each chunk and parses every column with one numpy call, so no Python code
+runs per cell on the numeric path. Every column is one numpy array,
+allocated once and filled in place: float64 when every cell is a number,
+otherwise an object array of its stripped text. The per-cell scan that
+names the offending line runs only after a check has failed. The reduced
+CSV that `preprocess`, `attack` and `evaluate` exchange is read through
+`load_csv` too, and its checks name lines with `line_of`.
 
 The split layout follows the experiment protocol: 20% of the samples are
 held out for the fine-tune/attack set, and the remaining 80% is divided
@@ -96,20 +96,31 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
     the bad record ends, as `csv.reader.line_num` counts it, so quoted cells
     that span lines count.
 
-    Each column is allocated once, a row per line end, and every chunk is
-    parsed into it in place; a text chunk turns a float64 column into an
-    object column, its earlier numbers Python floats.
+    The pass that counts line ends, a row of each column per end, also picks
+    the tokenizer. A file with no `"` or NUL byte and no line over
+    `csv.field_size_limit()` bytes is split at its commas, line by line. Any
+    other goes through `csv.reader`, as a quote can hide a comma or span
+    lines, Python 3.10's reader refuses a NUL, and it refuses a field over
+    the limit, which only a line over it can hold. Chunks are parsed into
+    the columns in place; a text chunk turns a float64 column into an object
+    column, its earlier numbers Python floats.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
-    capacity = 0
+    capacity, last, longest, plain = 0, -1, 0, True  # longest: a line's bytes + 1 end byte
     with open(path, "rb") as fh:  # at most one record per "\n", "\r\n" or lone "\r"
         while block := fh.read(1 << 16):  # a "\r\n" split between two counts twice
             lf, cr = (np.frombuffer(block, np.uint8) == c for c in b"\n\r")
-            capacity += np.count_nonzero(lf | cr) - np.count_nonzero(cr[:-1] & lf[1:])
+            ends = np.r_[last, np.flatnonzero(lf | cr) + fh.tell() - len(block)]
+            capacity += len(ends) - 1 - np.count_nonzero(cr[:-1] & lf[1:])
+            longest, last = max(longest, np.diff(ends).max(initial=0)), ends[-1]
+            plain = plain and b'"' not in block and b"\0" not in block
+        plain = plain and max(longest, fh.tell() - last) - 1 <= csv.field_size_limit()
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        # newline="" leaves a line its one terminator; a blank line gives [], as csv.reader does
+        split = (ln.split(",") if (ln := line.rstrip("\r\n")) else [] for line in fh)
+        reader = split if plain else csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:

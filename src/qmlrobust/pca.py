@@ -79,7 +79,8 @@ def transform_pca(model: PcaModel, data: FeatureMatrix) -> FeatureMatrix:
     """Project, rescale each coordinate to [0,1] by training range, clip, keep labels.
 
     Rows are projected `CHUNK_ROWS` at a time into the n×k output, so no
-    centered n×d copy is made; a row's bits do not depend on its block.
+    centered n×d copy is made. With OpenBLAS at d=55, blocks of ≥128 rows give
+    the one-shot product's bits; a shorter tail block may not (ROADMAP item 2).
     """
     X, out = data.values, np.empty((data.n_samples, len(model.components)))
     for start in range(0, data.n_samples, CHUNK_ROWS):

@@ -5,6 +5,7 @@ replaced: one Python call per cell to parse, code or format. The fast
 paths must agree with them bit for bit, error text and line included.
 """
 import csv
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -109,11 +110,11 @@ def reference_encode(header, rows, label_column):
     return FeatureMatrix(values=scaled, labels=labels)
 
 
-def outcome(fn):
+def outcome(fn, errors=ValueError):
     """("ok", result) or ("error", type name, message)."""
     try:
         return ("ok", fn())
-    except ValueError as exc:
+    except errors as exc:
         return ("error", type(exc).__name__, str(exc))
 
 
@@ -125,9 +126,8 @@ NUMBERS = st.one_of(
     st.integers(-50, 50).map(str),
     st.sampled_from(["-0", "1_000", "1e-320", "+3", ".5"]),
 )
-WORDS = st.sampled_from(
-    ["red", "green", "blue", "two words", "a,b", 'say "hi"', "UPX", "x1", "two\nlines"]
-)
+PLAIN_WORDS = ["red", "green", "blue", "two words", "UPX", "x1"]  # need no quoting
+WORDS = st.sampled_from([*PLAIN_WORDS, "a,b", 'say "hi"', "two\nlines"])
 PAD = st.sampled_from(["", "", " ", "  ", "\t"])
 
 
@@ -140,6 +140,9 @@ def render(body, pad_left, pad_right, quoted):
 
 @st.composite
 def csv_files(draw):
+    # a file without a quote is split at its commas, any other is read by csv.reader
+    quote_free = draw(st.booleans())
+    words = st.sampled_from(PLAIN_WORDS) if quote_free else WORDS
     n_rows = draw(st.integers(0, 12))
     kinds = draw(
         st.lists(st.sampled_from(["numeric", "text", "mixed", "constant"]), min_size=1, max_size=4)
@@ -150,11 +153,11 @@ def csv_files(draw):
         if kind == "numeric":
             col = draw(st.lists(NUMBERS, min_size=n_rows, max_size=n_rows))
         elif kind == "text":
-            col = draw(st.lists(WORDS, min_size=n_rows, max_size=n_rows))
+            col = draw(st.lists(words, min_size=n_rows, max_size=n_rows))
         elif kind == "constant":
-            col = [draw(st.one_of(NUMBERS, WORDS))] * n_rows
+            col = [draw(st.one_of(NUMBERS, words))] * n_rows
         else:
-            col = draw(st.lists(st.one_of(NUMBERS, WORDS), min_size=n_rows, max_size=n_rows))
+            col = draw(st.lists(st.one_of(NUMBERS, words), min_size=n_rows, max_size=n_rows))
         columns.append(col)
     label_values = ["benign", "malware"] if text_labels else ["0", "1.0"]
     labels = st.lists(st.sampled_from(label_values), min_size=n_rows, max_size=n_rows)
@@ -180,7 +183,8 @@ def csv_files(draw):
 
     lines = [",".join(header)]
     for row in rows:
-        cells = [render(c, draw(PAD), draw(PAD), draw(st.booleans())) for c in row]
+        cells = [render(c, draw(PAD), draw(PAD), not quote_free and draw(st.booleans()))
+                 for c in row]
         lines.append(",".join(cells))
         if draw(st.integers(0, 5)) == 0:
             lines.append("")  # blank line, skipped but counted
@@ -222,6 +226,119 @@ def test_ingest_matches_per_cell_reference(tmp_path_factory, generated, chunk_ro
         assert a.tobytes() == b.tobytes()
 
 
+LIMIT = csv.field_size_limit()
+WIDE = LIMIT // 4 + 8  # cells of "1.5," make a line longer than the limit
+
+
+def loaded(path):
+    """`load_csv`'s header and rows, or its error, as `referenced` gives them."""
+    got = outcome(lambda: load_csv(path, "class"), Exception)
+    return ("ok", repr((got[1].column_names, list(got[1].rows)))) if got[0] == "ok" else got
+
+
+def referenced(path):
+    got = outcome(lambda: reference_load(path, "class"), Exception)
+    return ("ok", repr(got[1])) if got[0] == "ok" else got
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'a,class\nsay"hi,0\nx,1\n',
+        "a,class\nx\0y,0\nz,1\n",
+        "a,class\n" + "x" * 140000 + ",0\nz,1\n",
+        ",".join(f"f{j}" for j in range(WIDE)) + ",class\n" + ("1.5," * WIDE + "0\n") * 2,
+    ],
+    ids=["quote-inside-a-cell", "nul", "field-over-the-limit", "line-over-the-limit"],
+)
+def test_files_a_split_could_misread_go_through_csv_reader(tmp_path, text):
+    # csv.reader refuses a NUL on Python 3.10 and a field over the limit everywhere
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(data_module.csv, "reader", wraps=csv.reader) as reader:
+        got = loaded(path)
+    assert reader.called
+    assert got == referenced(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", ""])
+@pytest.mark.parametrize("width, routed", [(LIMIT, False), (LIMIT + 1, True)], ids=["at", "over"])
+def test_a_line_at_the_field_limit_is_split_and_one_over_it_is_not(tmp_path, width, routed, end):
+    path = tmp_path / "data.csv"
+    path.write_text("class\n1\n" + "x" * width + end, encoding="utf-8", newline="")
+    with mock.patch.object(data_module.csv, "reader", wraps=csv.reader) as reader:
+        got = loaded(path)
+    assert reader.called == routed
+    assert got == referenced(path)  # a field of the limit's length reads, one more is refused
+
+
+def test_a_quote_free_file_never_constructs_csv_reader(tmp_path):
+    data = make_separable(60, 3, seed=2)
+    labeled, table, bom = tmp_path / "labeled.csv", tmp_path / "table.csv", tmp_path / "bom.csv"
+    write_labeled_csv(data, labeled)
+    lines = ["a, b ,c,colour,class"] + [
+        f"{row[0]:.6f}, {row[1]:.3e} ,{row[2]},{'red' if label > 0 else 'light blue'},{label}"
+        for row, label in zip(data.values, data.labels)
+    ]
+    text = "\r".join(lines[:30] + ["", ""] + lines[30:])  # lone "\r" ends and blank lines
+    table.write_text(text, encoding="utf-8", newline="")
+    bom.write_text(text, encoding="utf-8-sig", newline="")
+    reduced = tmp_path / "reduced.csv"
+    write_reduced_csv(data, np.asarray(["train", "val", "test", "finetune"] * 15, object), reduced)
+    with mock.patch.object(data_module.csv, "reader", side_effect=AssertionError("csv.reader")):
+        got = [loaded(labeled), loaded(table), loaded(bom)]
+        again, _ = read_reduced_csv(reduced)
+    assert got == [referenced(labeled), referenced(table), referenced(table)]
+    assert again.values.tobytes() == data.values.tobytes()
+
+
+def write_quote_all_copy(source, path):
+    """`source` rewritten by csv.writer with every cell quoted."""
+    with open(source, newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(records)
+
+
+def test_staged_run_of_a_quote_all_copy_matches_the_plain_file(tmp_path, capsys):
+    # the plain files are split at their commas, the quoted ones read by csv.reader
+    data = make_separable(150, 4, seed=8)
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "c", "d", "colour", "class"])
+        for i, (row, label) in enumerate(zip(data.values, data.labels)):
+            writer.writerow([*(format(v, ".6f") for v in row), ("red", "blue")[i % 3 == 0],
+                             "malware" if label > 0 else "benign"])  # fmt: skip
+    write_quote_all_copy(plain, tmp_path / "quoted.csv")
+    source, stage, out = tmp_path / "input.csv", tmp_path / "stage.csv", tmp_path / "out"
+    shared = ["--seed", "5", "--pca-components", "2", "--label-column", "class"]
+    outputs = []
+    for copy in ("plain", "quoted"):
+        shutil.copyfile(tmp_path / f"{copy}.csv", source)
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["run", "--data-path", str(source), "--output-dir", str(out / "run"),
+                     *shared, "--qnn-layers", "1", "--epochs", "3", "--mlp-hidden", "4"]) == 0
+        assert main(["preprocess", "--data-path", str(source), *shared,
+                     "--output", str(out / "reduced.csv")]) == 0
+        if copy == "plain":
+            shutil.copyfile(out / "reduced.csv", stage)
+        else:  # attack and evaluate read a quoted reduced CSV too
+            write_quote_all_copy(out / "reduced.csv", stage)
+        assert main(["attack", "--input", str(stage), "--seed", "5", "--epsilon", "0.3",
+                     "--output", str(out / "attacked.csv")]) == 0
+        for model in ("nn", "qnn"):
+            for scenario, reduced in (("clean", stage), ("perturbed", out / "attacked.csv")):
+                assert main(["evaluate", "--checkpoint", str(out / "run" / f"{model}_model.txt"),
+                             "--input", str(reduced), "--split", "test",
+                             "--output", str(out / f"{model}_{scenario}.json")]) == 0
+        files = {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+        outputs.append((files, capsys.readouterr().out))
+    assert {"run/report.json", "reduced.csv", "attacked.csv", "qnn_perturbed.json"} <= set(files)
+    assert outputs[0] == outputs[1]
+    assert b'"' in stage.read_bytes()
+
+
 def test_each_line_terminator_gives_the_same_run(tmp_path):
     rng = np.random.default_rng(30)
     data = make_separable(120, 3, seed=6)
@@ -244,9 +361,14 @@ def test_each_line_terminator_gives_the_same_run(tmp_path):
     assert len(artifacts) == 1
 
 
-def test_ingest_memory_is_bounded_near_its_columns(tmp_path):
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quote-all"])
+def test_ingest_memory_is_bounded_near_its_columns(tmp_path, quoted):
+    # the plain file is split at its commas, the quoted copy read by csv.reader
     path = tmp_path / "data.csv"
     write_labeled_csv(make_separable(20000, 7, seed=4), path)
+    if quoted:
+        write_quote_all_copy(path, tmp_path / "quoted.csv")
+        path = tmp_path / "quoted.csv"
     # short chunks keep one chunk's parsed text small beside the columns
     with mock.patch.object(data_module, "CHUNK_ROWS", 256):
         raw, peak = traced_peak(load_csv, path, "class")
