@@ -3,7 +3,8 @@
 Subcommands:
   run         full pipeline from a raw CSV to a report directory
   preprocess  emit the PCA-reduced dataset (with split membership) as CSV
-  attack      emit a perturbed copy of a reduced CSV
+  attack      emit a perturbed copy of a reduced CSV: the rows it perturbs are
+              formatted anew, every other record is kept as read
   evaluate    score a model checkpoint against a reduced CSV
   report      re-render the artifacts of a stored report.json
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureMatrix, subset
+from .data import subset
 from .experiment import (
     CONFIG_CODECS,
     FINETUNE_MODES,
@@ -36,6 +37,7 @@ from .experiment import (
     reduce_dataset,
     run_pipeline,
     save_report_json,
+    write_perturbed_csv,
     write_reduced_csv,
 )
 from .metrics import confusion, scalar_metrics
@@ -98,7 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(p, _PREPROCESS_FIELDS)
     p.add_argument("--output", default="reduced.csv")
 
-    p = commands.add_parser("attack", help="emit a perturbed copy of a reduced CSV")
+    p = commands.add_parser(
+        "attack",
+        help="emit a perturbed copy of a reduced CSV, untouched records kept as read",
+    )
     _add_shared_flags(p, _ATTACK_FIELDS)
     p.add_argument("--input", required=True, help="reduced CSV from 'preprocess'")
     p.add_argument("--target-split", default="test", help="split to perturb (default: test)")
@@ -168,7 +173,15 @@ def _cmd_run(cfg: ExperimentConfig, args) -> None:
     print(f"report written to {out}")
 
 
+def _require_output_dir(path: str) -> None:
+    """Refuse an output file whose directory does not exist, before any work."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise FileNotFoundError(f"output directory not found: {directory}")
+
+
 def _cmd_preprocess(cfg: ExperimentConfig, args) -> None:
+    _require_output_dir(args.output)
     reduced, names = reduce_dataset(cfg)
     write_reduced_csv(reduced, names, args.output)
     print(f"wrote {reduced.n_samples} rows x {reduced.n_features} components to {args.output}")
@@ -183,13 +196,13 @@ def _split_rows(names: np.ndarray, split: str) -> np.ndarray:
 
 
 def _cmd_attack(cfg: ExperimentConfig, args) -> None:
+    _require_output_dir(args.output)
     data, names = read_reduced_csv(args.input)
     split = args.target_split
-    rows = _split_rows(names, split)
+    rows = np.flatnonzero(_split_rows(names, split))
     adv, hit = build_adversarial_set(subset(data, rows), cfg.perturbation(split))
-    values = data.values.copy()
-    values[rows] = adv.values
-    write_reduced_csv(FeatureMatrix(values=values, labels=data.labels), names, args.output)
+    data.values[rows] = adv.values
+    write_perturbed_csv(args.input, data, names, rows[hit], args.output)
     print(f"perturbed {hit.size}/{adv.n_samples} rows of split {split!r} -> {args.output}")
 
 
@@ -206,6 +219,8 @@ def _load_checkpoint(path: str):
 
 
 def _cmd_evaluate(cfg: ExperimentConfig, args) -> None:
+    if args.output:
+        _require_output_dir(args.output)
     data, names = read_reduced_csv(args.input)
     if args.split != "all":
         data = subset(data, _split_rows(names, args.split))

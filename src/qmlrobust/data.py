@@ -8,7 +8,10 @@ allocated once and filled in place: float64 when every cell is a number,
 otherwise an object array of its stripped text. The per-cell scan that
 names the offending line runs only after a check has failed. The reduced
 CSV that `preprocess`, `attack` and `evaluate` exchange is read through
-`load_csv` too, and its checks name lines with `line_of`.
+`load_csv` too, and its checks name lines with `line_of`. `attack` copies
+the records it does not perturb from `record_texts`, which tokenizes as
+`load_csv` does, so row i of the copy is row i of the parse: each keeps
+the text it was read with, its cells joined by ",".
 
 The split layout follows the experiment protocol: 20% of the samples are
 held out for the fine-tune/attack set, and the remaining 80% is divided
@@ -22,7 +25,8 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -94,33 +98,15 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
     otherwise. Empty cells are an error (no imputation). Blank lines and a
     UTF-8 byte-order mark are skipped. An error names the file line on which
     the bad record ends, as `csv.reader.line_num` counts it, so quoted cells
-    that span lines count.
-
-    The pass that counts line ends, a row of each column per end, also picks
-    the tokenizer. A file with no `"` or NUL byte and no line over
-    `csv.field_size_limit()` bytes is split at its commas, line by line. Any
-    other goes through `csv.reader`, as a quote can hide a comma or span
-    lines, Python 3.10's reader refuses a NUL, and it refuses a field over
-    the limit, which only a line over it can hold. Chunks are parsed into
-    the columns in place; a text chunk turns a float64 column into an object
-    column, its earlier numbers Python floats.
+    that span lines count. Records come from `_tokenized`, which says which
+    tokenizer runs when. Chunks are parsed into the columns in place; a text
+    chunk turns a float64 column into an object column, its earlier numbers
+    Python floats.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
-    capacity, last, longest, plain = 0, -1, 0, True  # longest: a line's bytes + 1 end byte
-    with open(path, "rb") as fh:  # at most one record per "\n", "\r\n" or lone "\r"
-        while block := fh.read(1 << 16):  # a "\r\n" split between two counts twice
-            lf, cr = (np.frombuffer(block, np.uint8) == c for c in b"\n\r")
-            ends = np.r_[last, np.flatnonzero(lf | cr) + fh.tell() - len(block)]
-            capacity += len(ends) - 1 - np.count_nonzero(cr[:-1] & lf[1:])
-            longest, last = max(longest, np.diff(ends).max(initial=0)), ends[-1]
-            plain = plain and b'"' not in block and b"\0" not in block
-        plain = plain and max(longest, fh.tell() - last) - 1 <= csv.field_size_limit()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        # newline="" leaves a line its one terminator; a blank line gives [], as csv.reader does
-        split = (ln.split(",") if (ln := line.rstrip("\r\n")) else [] for line in fh)
-        reader = split if plain else csv.reader(fh)
+    with _tokenized(path) as (capacity, reader):
         try:
             header = next(reader)
         except StopIteration:
@@ -160,6 +146,54 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
         raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
     columns = [col[:n_rows] for col in columns]  # the filled prefix
     return RawDataset(column_names=header, columns=columns, label_column=label_column)
+
+
+@contextmanager
+def _tokenized(path: Path, joined: bool = False) -> Iterator[tuple[int, Iterator]]:
+    """(rows to allocate, the file's records, header first), as `load_csv` reads them.
+
+    The pass that counts line ends, a row of each column per end, also picks
+    the tokenizer. A file with no `"` or NUL byte and no line over
+    `csv.field_size_limit()` bytes is split at its commas, line by line. Any
+    other goes through `csv.reader`, as a quote can hide a comma or span
+    lines, Python 3.10's reader refuses a NUL, and it refuses a field over
+    the limit, which only a line over it can hold.
+
+    A record is its list of cells, [] for a blank line. With `joined` it is
+    the text of those cells joined by ",", "" for a blank line: for a split
+    file that is the line minus its terminator, so no line is split.
+    """
+    capacity, last, longest, plain = 0, -1, 0, True  # longest: a line's bytes + 1 end byte
+    with open(path, "rb") as fh:  # at most one record per "\n", "\r\n" or lone "\r"
+        while block := fh.read(1 << 16):  # a "\r\n" split between two counts twice
+            lf, cr = (np.frombuffer(block, np.uint8) == c for c in b"\n\r")
+            ends = np.r_[last, np.flatnonzero(lf | cr) + fh.tell() - len(block)]
+            capacity += len(ends) - 1 - np.count_nonzero(cr[:-1] & lf[1:])
+            longest, last = max(longest, np.diff(ends).max(initial=0)), ends[-1]
+            plain = plain and b'"' not in block and b"\0" not in block
+        plain = plain and max(longest, fh.tell() - last) - 1 <= csv.field_size_limit()
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        # newline="" leaves a line its one terminator; a blank line gives [], as csv.reader does
+        if not plain:
+            records = map(",".join, csv.reader(fh)) if joined else csv.reader(fh)
+        elif joined:
+            records = (line.rstrip("\r\n") for line in fh)
+        else:
+            records = (ln.split(",") if (ln := line.rstrip("\r\n")) else [] for line in fh)
+        yield capacity, records
+
+
+def record_texts(path: str | Path) -> Iterator[str]:
+    """The text of each sample record of a file `load_csv` accepts, in file order.
+
+    A record's text is its cells as `load_csv` tokenized them, joined by
+    ","; for a quote-free file, that is its line minus the terminator. So
+    item i is row i of `load_csv`, and a quoted cell's line break stays in
+    the text. The file is read one line at a time.
+    """
+    with _tokenized(Path(path), joined=True) as (_, texts):
+        next(texts, None)  # the header
+        yield from filter(None, texts)  # not blank lines, as load_csv skips them
 
 
 def line_of(path: str | Path, row: int) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -28,6 +29,7 @@ from .data import (
     encode_and_normalize,
     line_of,
     load_csv,
+    record_texts,
     shuffle_and_split,
     subset,
 )
@@ -439,17 +441,26 @@ def load_report_json(path: str | Path) -> Report:
 # --- reduced-dataset CSV (preprocess/attack/evaluate interchange) --------
 
 
+def _reduced_csv_lines(k: int) -> tuple[str, str]:
+    """(header line, row template) of a reduced CSV with k features: each
+    feature as ".17e", then the label and the split; lines end in "\r\n"."""
+    header = ",".join([f"pc{j + 1}" for j in range(k)] + ["label", "split"]) + "\r\n"
+    return header, "{:.17e}," * k + "{},{}\r\n"
+
+
 def write_reduced_csv(
     data: FeatureMatrix, split_names: np.ndarray, path: str | Path
 ) -> None:
     """PCA-reduced rows with labels and split membership, full float precision.
 
-    Lines end in "\r\n", as csv.writer writes them; no cell needs quoting.
+    Lines end in "\r\n", as csv.writer writes them; no cell needs quoting. A
+    ".17e" cell reads back to its float and re-renders to the same text, so
+    a row of this file that `write_perturbed_csv` copies as read is the row
+    this function would write.
     """
-    k = data.n_features
-    line = "{:.17e}," * k + "{},{}\r\n"
+    header, line = _reduced_csv_lines(data.n_features)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join([f"pc{j + 1}" for j in range(k)] + ["label", "split"]) + "\r\n")
+        fh.write(header)
         for start in range(0, data.n_samples, CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
             cells = [
@@ -460,6 +471,48 @@ def write_reduced_csv(
             fh.writelines(map(line.format, *cells))
 
 
+def write_perturbed_csv(
+    source: str | Path,
+    data: FeatureMatrix,
+    split_names: np.ndarray,
+    perturbed: np.ndarray,
+    path: str | Path,
+) -> None:
+    """A copy of the reduced CSV `source` with the rows at `perturbed` rewritten.
+
+    `data` and `split_names` are what `read_reduced_csv(source)` returned,
+    with new values in the rows at the indices `perturbed`. Those rows are
+    written as `write_reduced_csv` writes a row. Every other record is
+    copied as read: its cells as `record_texts` gives them, joined by ",",
+    ending "\r\n". A record with a line break in a quoted cell is written
+    from its values instead. The header is written afresh. Only the rows
+    it rewrites are formatted, and the source is streamed a line at a time.
+
+    The copy goes to a temporary file beside `path`, moved into place when
+    complete, so `path` may be `source` and a failed copy leaves no file.
+    """
+    header, line = _reduced_csv_lines(data.n_features)
+    fresh = set(perturbed.tolist())
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(partial, "x", newline="", encoding="utf-8") as fh:
+            fh.write(header)
+            i = -1
+            for i, text in enumerate(record_texts(source)):
+                if i in fresh or "\n" in text or "\r" in text:
+                    row = data.values[i].tolist()
+                    fh.write(line.format(*row, data.labels[i].item(), split_names[i]))
+                else:
+                    fh.write(text + "\r\n")
+        if i + 1 != data.n_samples:
+            raise ValueError(f"{source}: has {i + 1} rows, not the {data.n_samples} read")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
     """Parse a `write_reduced_csv` file with `load_csv`, then check its columns.
 
@@ -467,6 +520,11 @@ def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
     one of `SPLIT_NAMES`; an error names the line of the first record that
     breaks one of these. `load_csv` refuses a ragged row or an empty cell
     where it meets it, ahead of these checks and of any earlier bad value.
+
+    The file may be hand-made, with short or padded numbers, "1.0" labels
+    or quoted cells. `attack` reads its input here, so every row is checked
+    before any is written, and its copy keeps the text of each row it does
+    not perturb, which reads back here to the same values.
     """
     raw = load_csv(path, "label")
     if len(raw.column_names) < 3 or raw.column_names[-2:] != ["label", "split"]:

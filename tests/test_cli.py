@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -404,6 +405,63 @@ def test_staged_subcommands_compose_to_run(synth_csv, tmp_path):
             assert (got["tp"], got["fp"], got["fn"], got["tn"]) == (
                 expected.tp, expected.fp, expected.fn, expected.tn,
             )
+
+
+@pytest.mark.parametrize("command", ["preprocess", "attack", "evaluate"])
+def test_output_into_a_missing_directory_is_refused_before_any_input_is_read(
+    tmp_path, capsys, command
+):
+    # the input does not exist either: reading it first would report that instead
+    absent, missing = str(tmp_path / "absent.csv"), tmp_path / "missing"
+    argv = {
+        "preprocess": ["--data-path", absent, "--output", str(missing / "reduced.csv")],
+        "attack": ["--input", absent, "--output", str(missing / "attacked.csv")],
+        "evaluate": ["--checkpoint", absent, "--input", absent,
+                     "--output", str(missing / "metrics.json")],
+    }[command]  # fmt: skip
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: output directory not found: {missing}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+_STAGED_SCRIPT = """
+import shutil
+from qmlrobust.cli import main
+shared = ["--seed", "5", "--pca-components", "3"]
+assert main(["preprocess", "--data-path", "data.csv", *shared, "--output", "out/reduced.csv"]) == 0
+attack = ["attack", "--seed", "5", "--input"]
+assert main([*attack, "out/reduced.csv", "--output", "out/attacked.csv"]) == 0
+shutil.copyfile("out/reduced.csv", "out/in_place.csv")
+assert main([*attack, "out/in_place.csv", "--output", "out/in_place.csv"]) == 0
+for model in ("nn", "qnn"):
+    assert main(["evaluate", "--checkpoint", f"{model}_model.txt",
+                 "--input", "out/attacked.csv", "--output", f"out/{model}.json"]) == 0
+"""
+
+
+def test_staged_subcommands_are_byte_identical_across_hash_seeds(synth_csv, tmp_path):
+    models = tmp_path / "models"
+    assert main(["run", "--data-path", str(synth_csv), "--output-dir", str(models), "--seed", "5",
+                 "--pca-components", "3", "--epochs", "2", "--mlp-hidden", "4"]) == 0  # fmt: skip
+    src = str(Path(qmlrobust.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        work = tmp_path / f"hash_seed_{seed}"
+        (work / "out").mkdir(parents=True)
+        shutil.copyfile(synth_csv, work / "data.csv")
+        for model in ("nn", "qnn"):
+            shutil.copyfile(models / f"{model}_model.txt", work / f"{model}_model.txt")
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run([sys.executable, "-c", _STAGED_SCRIPT], cwd=work, env=env,
+                             capture_output=True, text=True, timeout=300)  # fmt: skip
+        assert run.returncode == 0, run.stderr
+        outputs.append(({f.name: f.read_bytes() for f in (work / "out").iterdir()}, run.stdout))
+    files, stdout = outputs[0]
+    assert sorted(files) == ["attacked.csv", "in_place.csv", "nn.json", "qnn.json", "reduced.csv"]
+    assert files["in_place.csv"] == files["attacked.csv"] != files["reduced.csv"]
+    assert stdout.count("\n") == 7
+    assert outputs[0] == outputs[1]
 
 
 def test_evaluate_unknown_split_fails(synth_csv, tmp_path, capsys):
