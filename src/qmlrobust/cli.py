@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import subset
+from .data import subset, utf8_text
 from .experiment import (
     CONFIG_CODECS,
     FINETUNE_MODES,
@@ -37,7 +37,6 @@ from .experiment import (
     reduce_dataset,
     run_pipeline,
     save_report_json,
-    write_perturbed_csv,
     write_reduced_csv,
 )
 from .metrics import confusion, scalar_metrics
@@ -53,8 +52,10 @@ def read_config_file(path: str | Path) -> dict[str, object]:
     Each key must be a config field name, and its value must parse as that
     field's type; otherwise the error names the file, the line and the key.
     """
+    with utf8_text(path):
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     values: dict[str, object] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -202,7 +203,7 @@ def _cmd_attack(cfg: ExperimentConfig, args) -> None:
     rows = np.flatnonzero(_split_rows(names, split))
     adv, hit = build_adversarial_set(subset(data, rows), cfg.perturbation(split))
     data.values[rows] = adv.values
-    write_perturbed_csv(args.input, data, names, rows[hit], args.output)
+    write_reduced_csv(data, names, args.output, args.input, rows[hit])
     print(f"perturbed {hit.size}/{adv.n_samples} rows of split {split!r} -> {args.output}")
 
 

@@ -8,10 +8,10 @@ allocated once and filled in place: float64 when every cell is a number,
 otherwise an object array of its stripped text. The per-cell scan that
 names the offending line runs only after a check has failed. The reduced
 CSV that `preprocess`, `attack` and `evaluate` exchange is read through
-`load_csv` too, and its checks name lines with `line_of`. `attack` copies
-the records it does not perturb from `record_texts`, which tokenizes as
-`load_csv` does, so row i of the copy is row i of the parse: each keeps
-the text it was read with, its cells joined by ",".
+`load_csv` too, and its checks name lines with `line_of`. Its one writer,
+`write_reduced_csv`, copies each row `attack` does not perturb from
+`record_texts`, which tokenizes as `load_csv` does: row i of the copy is
+row i of the parse, with the text it was read with, its cells joined by ",".
 
 The split layout follows the experiment protocol: 20% of the samples are
 held out for the fine-tune/attack set, and the remaining 80% is divided
@@ -172,7 +172,7 @@ def _tokenized(path: Path, joined: bool = False) -> Iterator[tuple[int, Iterator
             longest, last = max(longest, np.diff(ends).max(initial=0)), ends[-1]
             plain = plain and b'"' not in block and b"\0" not in block
         plain = plain and max(longest, fh.tell() - last) - 1 <= csv.field_size_limit()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with utf8_text(path), open(path, newline="", encoding="utf-8-sig") as fh:
         # newline="" leaves a line its one terminator; a blank line gives [], as csv.reader does
         if not plain:
             records = map(",".join, csv.reader(fh)) if joined else csv.reader(fh)
@@ -196,6 +196,16 @@ def record_texts(path: str | Path) -> Iterator[str]:
         yield from filter(None, texts)  # not blank lines, as load_csv skips them
 
 
+@contextmanager
+def utf8_text(path: str | Path) -> Iterator[None]:
+    """Re-raise a UTF-8 decoding error in the block as a ValueError naming `path`."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValueError(f"{path}: not UTF-8 text: byte {byte:#04x} ({exc.reason})") from None
+
+
 def line_of(path: str | Path, row: int) -> int:
     """Line on which sample `row` of `load_csv(path, ...)` ends (0 = first sample).
 
@@ -203,7 +213,7 @@ def line_of(path: str | Path, row: int) -> int:
     does; only error paths call it, so the chunked read keeps no line
     number per record.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with utf8_text(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for _ in islice(filter(None, reader), row + 1):

@@ -16,8 +16,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import count, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -441,72 +443,52 @@ def load_report_json(path: str | Path) -> Report:
 # --- reduced-dataset CSV (preprocess/attack/evaluate interchange) --------
 
 
-def _reduced_csv_lines(k: int) -> tuple[str, str]:
-    """(header line, row template) of a reduced CSV with k features: each
-    feature as ".17e", then the label and the split; lines end in "\r\n"."""
-    header = ",".join([f"pc{j + 1}" for j in range(k)] + ["label", "split"]) + "\r\n"
-    return header, "{:.17e}," * k + "{},{}\r\n"
-
-
 def write_reduced_csv(
-    data: FeatureMatrix, split_names: np.ndarray, path: str | Path
+    data: FeatureMatrix,
+    split_names: np.ndarray,
+    path: str | Path,
+    source: str | Path | None = None,
+    fresh: Iterable[int] = (),
 ) -> None:
     """PCA-reduced rows with labels and split membership, full float precision.
 
-    Lines end in "\r\n", as csv.writer writes them; no cell needs quoting. A
-    ".17e" cell reads back to its float and re-renders to the same text, so
-    a row of this file that `write_perturbed_csv` copies as read is the row
-    this function would write.
+    A formatted row is its features as ".17e", then its label and split
+    name; lines end in "\r\n", as csv.writer writes them, and no cell needs
+    quoting. A ".17e" cell reads back to its float and re-renders to itself.
+
+    `source`, if given, is the reduced CSV `data` and `split_names` were
+    read from. A row is formatted when there is no `source`, when its index
+    is in `fresh`, or when its record text holds a line break; otherwise it
+    is copied as `record_texts(source)` gives it. So `preprocess` formats
+    every row and `attack` only those it perturbs. A source whose record
+    count is not `data.n_samples` is refused.
+
+    The file is written beside `path` and moved into place when complete,
+    so `path` may be `source` and a failed write leaves no file.
     """
-    header, line = _reduced_csv_lines(data.n_features)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(header)
-        for start in range(0, data.n_samples, CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
-            cells = [
-                *data.values[rows].T.tolist(),
-                data.labels[rows].tolist(),
-                split_names[rows].tolist(),
-            ]
-            fh.writelines(map(line.format, *cells))
-
-
-def write_perturbed_csv(
-    source: str | Path,
-    data: FeatureMatrix,
-    split_names: np.ndarray,
-    perturbed: np.ndarray,
-    path: str | Path,
-) -> None:
-    """A copy of the reduced CSV `source` with the rows at `perturbed` rewritten.
-
-    `data` and `split_names` are what `read_reduced_csv(source)` returned,
-    with new values in the rows at the indices `perturbed`. Those rows are
-    written as `write_reduced_csv` writes a row. Every other record is
-    copied as read: its cells as `record_texts` gives them, joined by ",",
-    ending "\r\n". A record with a line break in a quoted cell is written
-    from its values instead. The header is written afresh. Only the rows
-    it rewrites are formatted, and the source is streamed a line at a time.
-
-    The copy goes to a temporary file beside `path`, moved into place when
-    complete, so `path` may be `source` and a failed copy leaves no file.
-    """
-    header, line = _reduced_csv_lines(data.n_features)
-    fresh = set(perturbed.tolist())
+    k = data.n_features
+    line = "{:.17e}," * k + "{},{}\r\n"
+    fresh = set(map(int, fresh))
+    texts = record_texts(source) if source is not None else repeat(None, data.n_samples)
     path = Path(path)
     partial = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(partial, "x", newline="", encoding="utf-8") as fh:
-            fh.write(header)
-            i = -1
-            for i, text in enumerate(record_texts(source)):
-                if i in fresh or "\n" in text or "\r" in text:
-                    row = data.values[i].tolist()
-                    fh.write(line.format(*row, data.labels[i].item(), split_names[i]))
-                else:
-                    fh.write(text + "\r\n")
-        if i + 1 != data.n_samples:
-            raise ValueError(f"{source}: has {i + 1} rows, not the {data.n_samples} read")
+            fh.write(",".join([f"pc{j + 1}" for j in range(k)] + ["label", "split"]) + "\r\n")
+            n = 0
+            while chunk := list(islice(texts, CHUNK_ROWS)):
+                rows = slice(n, n + len(chunk))
+                labels, splits = data.labels[rows].tolist(), split_names[rows].tolist()
+                cells = zip(*data.values[rows].T.tolist(), labels, splits)
+                fh.writelines(
+                    line.format(*row)
+                    if text is None or i in fresh or "\n" in text or "\r" in text
+                    else text + "\r\n"
+                    for i, text, row in zip(count(n), chunk, cells)
+                )
+                n += len(chunk)
+        if n != data.n_samples:
+            raise ValueError(f"{source}: has {n} rows, not the {data.n_samples} read")
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -523,8 +505,8 @@ def read_reduced_csv(path: str | Path) -> tuple[FeatureMatrix, np.ndarray]:
 
     The file may be hand-made, with short or padded numbers, "1.0" labels
     or quoted cells. `attack` reads its input here, so every row is checked
-    before any is written, and its copy keeps the text of each row it does
-    not perturb, which reads back here to the same values.
+    before `write_reduced_csv` writes any, and the rows it copies as read
+    read back here to the same values.
     """
     raw = load_csv(path, "label")
     if len(raw.column_names) < 3 or raw.column_names[-2:] != ["label", "split"]:

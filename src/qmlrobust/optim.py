@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureMatrix
+from .data import FeatureMatrix, utf8_text
 
 # Adam's moment decay rates and the denominator's stabilizer
 BETA1 = 0.9
@@ -90,7 +90,7 @@ def save_checkpoint(path: str | Path, header: str, params: np.ndarray) -> None:
 
 def checkpoint_kind(path: str | Path) -> str:
     """The first word of a checkpoint's header ("mlp", "qnn"), or "" when it has none."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with utf8_text(path), open(path, encoding="utf-8-sig") as fh:
         return next(iter(fh.readline().split()), "")
 
 
@@ -101,7 +101,8 @@ def load_checkpoint(path: str | Path, kind: str) -> tuple[list[int], np.ndarray]
     parameter that does not parse or is not finite its line; the caller's
     model checks the sizes and the count.
     """
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    with utf8_text(path):
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     head = lines[0].split() if lines else []
     if head[:1] != [kind] or not all(v.isdecimal() for v in head[1:]):
         raise ValueError(f"{path}: expected a '{kind} <sizes>' header, found {' '.join(head)!r}")

@@ -231,23 +231,21 @@ def test_a_source_that_changes_while_copied_is_refused(tmp_path, capsys):
 
 
 def test_the_copy_formats_only_the_rows_it_perturbs(tmp_path):
-    # a count of the row template's uses, so a copy that re-renders every row fails
-    source = written(tmp_path)
-    perturbed = oracle(source, tmp_path / "expected.csv", fraction=0.3)
-    real = experiment._reduced_csv_lines
-    uses = []
+    # the source holds each value in its shortest form, never ".17e", so every
+    # row shows whether it was copied or formatted: re-rendering every row fails
+    data, names = reduced_matrix()
+    lines = [
+        ",".join([*map(repr, values), str(label), name])
+        for values, label, name in zip(data.values.tolist(), data.labels.tolist(), names)
+    ]
+    source = tmp_path / "shortest.csv"
+    text = "\r\n".join(["pc1,pc2,pc3,label,split", *lines]) + "\r\n"
+    source.write_text(text, encoding="utf-8", newline="")
+    perturbed = set(oracle(source, tmp_path / "expected.csv", fraction=0.3).tolist())
+    assert attack(source, tmp_path / "got.csv", fraction=0.3) == 0
 
-    def counted(k):
-        header, line = real(k)
-
-        class Template(str):
-            def format(self, *cells):
-                uses.append(cells)
-                return line.format(*cells)
-
-        return header, Template(line)
-
-    with mock.patch.object(experiment, "_reduced_csv_lines", counted):
-        assert attack(source, tmp_path / "got.csv", fraction=0.3) == 0
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
-    assert len(uses) == len(perturbed) < 120
+    formatted = (tmp_path / "expected.csv").read_bytes().decode().split("\r\n")[1:-1]
+    header, *rows = (tmp_path / "got.csv").read_bytes().decode().split("\r\n")[:-1]
+    assert header == "pc1,pc2,pc3,label,split" and 0 < len(perturbed) < 120
+    assert all(line != formatted[i] for i, line in enumerate(lines))
+    assert rows == [formatted[i] if i in perturbed else line for i, line in enumerate(lines)]

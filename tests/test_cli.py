@@ -4,12 +4,14 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import layering_oracle
 
 import qmlrobust
+from qmlrobust import cli
 from qmlrobust.cli import build_parser, main, parse_cli, read_config_file
 from qmlrobust.experiment import ExperimentConfig, load_report_json
 from qmlrobust.qnn import build_model_circuit, load_qnn
@@ -422,6 +424,113 @@ def test_output_into_a_missing_directory_is_refused_before_any_input_is_read(
     assert main([command, *argv]) == 1
     assert capsys.readouterr() == ("", f"error: output directory not found: {missing}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def preprocess(data_path, output):
+    return main(["preprocess", "--data-path", str(data_path), "--seed", "5",
+                 "--pca-components", "3", "--output", str(output)])  # fmt: skip
+
+
+def test_preprocess_and_attack_each_write_once_through_write_reduced_csv(synth_csv, tmp_path):
+    # bench/tracer.py wraps cli.write_reduced_csv and sizes the file at positional argument 2
+    reduced, attacked = tmp_path / "reduced.csv", tmp_path / "attacked.csv"
+    with mock.patch.object(cli, "write_reduced_csv", wraps=cli.write_reduced_csv) as writer:
+        assert preprocess(synth_csv, reduced) == 0
+        assert [call.args[2] for call in writer.call_args_list] == [str(reduced)]
+        assert main(["attack", "--input", str(reduced), "--output", str(attacked)]) == 0
+        assert [call.args[2] for call in writer.call_args_list] == [str(reduced), str(attacked)]
+    assert attacked.read_bytes() != reduced.read_bytes()
+
+
+class Unwritable(str):
+    """A split name whose formatting fails, as a write that runs out of disk would."""
+
+    def __format__(self, spec):
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_failed_preprocess_leaves_no_partial_file(synth_csv, tmp_path, capsys, existing):
+    out = tmp_path / "out"
+    out.mkdir()
+    reduced = out / "reduced.csv"
+    if existing:
+        reduced.write_bytes(b"kept\r\n")
+    real = cli.reduce_dataset
+
+    def last_row_unwritable(cfg):
+        data, names = real(cfg)
+        names[-1] = Unwritable(names[-1])
+        return data, names
+
+    with mock.patch.object(cli, "reduce_dataset", last_row_unwritable):
+        assert preprocess(synth_csv, reduced) == 1
+    assert capsys.readouterr() == ("", "error: disk full\n")
+    assert [p.name for p in out.iterdir()] == (["reduced.csv"] if existing else [])
+    if existing:
+        assert reduced.read_bytes() == b"kept\r\n"
+
+
+def test_preprocess_over_an_existing_output_gives_the_fresh_bytes(synth_csv, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert preprocess(synth_csv, out / "fresh.csv") == 0
+    (out / "reduced.csv").write_bytes(b"an older, longer file\r\n" * 1000)
+    assert preprocess(synth_csv, out / "reduced.csv") == 0
+    assert (out / "reduced.csv").read_bytes() == (out / "fresh.csv").read_bytes()
+    assert preprocess(synth_csv, out / "reduced.csv") == 0  # over its own output
+    assert (out / "reduced.csv").read_bytes() == (out / "fresh.csv").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["fresh.csv", "reduced.csv"]
+
+
+def with_byte_ff(data: bytes, line: int) -> bytes:
+    """`data` with the first byte of its line `line` (1-based) replaced by 0xff."""
+    at = 0
+    for _ in range(line - 1):
+        at = data.index(b"\n", at) + 1
+    return data[:at] + b"\xff" + data[at + 1 :]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["run-data", "attack-input", "evaluate-input", "checkpoint-header", "checkpoint-parameters",
+     "config"],
+)  # fmt: skip
+def test_a_file_that_is_not_utf8_is_refused_by_name(synth_csv, tmp_path, capsys, kind):
+    reduced, bad = tmp_path / "reduced.csv", tmp_path / "bad"
+    assert preprocess(synth_csv, reduced) == 0
+    checkpoint = tmp_path / "qnn_model.txt"
+    checkpoint.write_bytes(b"qnn 3 1 2\n" + b"0.1\n" * 6)
+    if kind == "run-data":
+        bad.write_bytes(with_byte_ff(synth_csv.read_bytes(), 6))
+    elif kind in ("attack-input", "evaluate-input"):
+        bad.write_bytes(with_byte_ff(reduced.read_bytes(), 6))
+    elif kind == "checkpoint-header":
+        bad.write_bytes(b"qnn\xff 3 1 2\n" + b"0.1\n" * 6)
+    elif kind == "checkpoint-parameters":
+        # past the block that reading the header line decodes
+        bad.write_bytes(b"qnn 3 1 2\n" + b"0.1\n" * 4000 + b"\xff\n")
+    else:
+        bad.write_bytes(b"seed = 5\n# \xff\n")
+    argv, expected_code = {
+        "run-data": (["run", "--data-path", str(bad), "--output-dir", str(tmp_path / "o")], 1),
+        "attack-input": (["attack", "--input", str(bad), "--output", str(tmp_path / "a.csv")], 1),
+        "evaluate-input": (["evaluate", "--checkpoint", str(checkpoint), "--input", str(bad)], 1),
+        "checkpoint-header": (["evaluate", "--checkpoint", str(bad), "--input", str(reduced)], 1),
+        "checkpoint-parameters": (
+            ["evaluate", "--checkpoint", str(bad), "--input", str(reduced)], 1
+        ),
+        "config": (["attack", "--input", str(reduced), "--config", str(bad)], 2),
+    }[kind]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == expected_code and out == ""
+    assert f"{bad}: not UTF-8 text: byte 0xff (invalid start byte)\n" in err
+    assert not (tmp_path / "a.csv").exists() and not (tmp_path / "o").exists()
 
 
 _STAGED_SCRIPT = """
