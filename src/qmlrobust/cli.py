@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -174,15 +175,7 @@ def _cmd_run(cfg: ExperimentConfig, args) -> None:
     print(f"report written to {out}")
 
 
-def _require_output_dir(path: str) -> None:
-    """Refuse an output file whose directory does not exist, before any work."""
-    directory = Path(path).parent
-    if not directory.is_dir():
-        raise FileNotFoundError(f"output directory not found: {directory}")
-
-
 def _cmd_preprocess(cfg: ExperimentConfig, args) -> None:
-    _require_output_dir(args.output)
     reduced, names = reduce_dataset(cfg)
     write_reduced_csv(reduced, names, args.output)
     print(f"wrote {reduced.n_samples} rows x {reduced.n_features} components to {args.output}")
@@ -197,7 +190,6 @@ def _split_rows(names: np.ndarray, split: str) -> np.ndarray:
 
 
 def _cmd_attack(cfg: ExperimentConfig, args) -> None:
-    _require_output_dir(args.output)
     data, names = read_reduced_csv(args.input)
     split = args.target_split
     rows = np.flatnonzero(_split_rows(names, split))
@@ -220,8 +212,6 @@ def _load_checkpoint(path: str):
 
 
 def _cmd_evaluate(cfg: ExperimentConfig, args) -> None:
-    if args.output:
-        _require_output_dir(args.output)
     data, names = read_reduced_csv(args.input)
     if args.split != "all":
         data = subset(data, _split_rows(names, args.split))
@@ -261,9 +251,30 @@ _COMMANDS = {
 }
 
 
+def _refuse_unusable_output(command: str, cfg: ExperimentConfig, args) -> None:
+    """Refuse an output path that cannot be written, before any input is read.
+
+    An `--output` file must not be a directory, and its parent must be one.
+    An `--output-dir` must be a directory, or a path whose nearest existing
+    ancestor is one (`run` and `report` make the rest).
+    """
+    if command in ("run", "report"):
+        path = Path(cfg.output_dir if command == "run" else args.output_dir)
+        ancestor = next(p for p in (path, *path.parents) if os.path.lexists(p))
+        if not ancestor.is_dir():
+            raise NotADirectoryError(f"--output-dir {path}: {ancestor} is not a directory")
+    elif getattr(args, "output", None):
+        path = Path(args.output)
+        if path.is_dir():
+            raise IsADirectoryError(f"--output {path}: is a directory")
+        if not path.parent.is_dir():
+            raise NotADirectoryError(f"--output {path}: {path.parent} is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     command, cfg, args = parse_cli(sys.argv[1:] if argv is None else list(argv))
     try:
+        _refuse_unusable_output(command, cfg, args)
         _COMMANDS[command](cfg, args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

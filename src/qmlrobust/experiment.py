@@ -156,7 +156,8 @@ def _stage(name: str):
 
 
 def reduce_dataset(cfg: ExperimentConfig) -> tuple[FeatureMatrix, np.ndarray]:
-    """load -> encode/normalize -> split -> PCA (fit on train, transform all).
+    """load -> encode/normalize -> split -> PCA (fit on the train rows, then
+    project every row once and rescale by the train rows' range).
 
     Returns (reduced, names): every row PCA-reduced, in file order, and each
     row's split name from `shuffle_and_split`, the pair `write_reduced_csv`
@@ -170,8 +171,8 @@ def reduce_dataset(cfg: ExperimentConfig) -> tuple[FeatureMatrix, np.ndarray]:
     with _stage("split"):
         names = shuffle_and_split(features, stage_seed(cfg.seed, "shuffle"))
     with _stage("pca"):
-        pca = fit_pca(features, cfg.pca_components, names == "train")
-        reduced = transform_pca(pca, features)
+        train = names == "train"
+        reduced = transform_pca(fit_pca(features, cfg.pca_components, train), features, train)
     return reduced, names
 
 

@@ -409,21 +409,39 @@ def test_staged_subcommands_compose_to_run(synth_csv, tmp_path):
             )
 
 
-@pytest.mark.parametrize("command", ["preprocess", "attack", "evaluate"])
+@pytest.mark.parametrize("command", ["preprocess", "attack", "evaluate", "run", "report"])
 def test_output_into_a_missing_directory_is_refused_before_any_input_is_read(
     tmp_path, capsys, command
 ):
-    # the input does not exist either: reading it first would report that instead
-    absent, missing = str(tmp_path / "absent.csv"), tmp_path / "missing"
+    # the input does not exist: reading it first would report that instead
+    absent = str(tmp_path / "absent.csv")
+    afile, adir = tmp_path / "afile", tmp_path / "adir"
+    afile.write_text("kept\n")
+    adir.mkdir()
     argv = {
-        "preprocess": ["--data-path", absent, "--output", str(missing / "reduced.csv")],
-        "attack": ["--input", absent, "--output", str(missing / "attacked.csv")],
-        "evaluate": ["--checkpoint", absent, "--input", absent,
-                     "--output", str(missing / "metrics.json")],
-    }[command]  # fmt: skip
-    assert main([command, *argv]) == 1
-    assert capsys.readouterr() == ("", f"error: output directory not found: {missing}\n")
-    assert list(tmp_path.iterdir()) == []
+        "preprocess": ["--data-path", absent],
+        "attack": ["--input", absent],
+        "evaluate": ["--checkpoint", absent, "--input", absent],
+        "run": ["--data-path", absent],
+        "report": ["--report-json", absent],
+    }[command]
+    if command in ("run", "report"):
+        flag, refusals = "--output-dir", [
+            (afile, f"{afile} is not a directory"),  # an existing file
+            (afile / "sub" / "out", f"{afile} is not a directory"),  # below a file
+        ]
+    else:
+        missing = tmp_path / "missing"
+        flag, refusals = "--output", [
+            (missing / "out.csv", f"{missing} is not a directory"),
+            (afile / "out.csv", f"{afile} is not a directory"),
+            (adir, "is a directory"),
+        ]
+    for output, problem in refusals:
+        assert main([command, *argv, flag, str(output)]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} {output}: {problem}\n")
+    assert sorted(tmp_path.iterdir()) == [adir, afile]
+    assert afile.read_text() == "kept\n" and list(adir.iterdir()) == []
 
 
 def preprocess(data_path, output):

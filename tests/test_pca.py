@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from helpers import make_separable, stdout_at_blas_threads, traced_peak
+from helpers import make_separable, stdout_at_blas_threads, traced_peak, write_labeled_csv
 
 from qmlrobust.data import CHUNK_ROWS, FeatureMatrix, scale_to_unit, shuffle_and_split, subset
-from qmlrobust.pca import PcaModel, fit_pca, project, transform_pca
+from qmlrobust.pca import PcaModel, fit_pca, transform_pca
 
 
 def matrix(values, labels=None):
@@ -11,6 +11,19 @@ def matrix(values, labels=None):
     if labels is None:
         labels = np.ones(len(values), dtype=int)
     return FeatureMatrix(values=values, labels=np.asarray(labels))
+
+
+def every_row(data: FeatureMatrix) -> np.ndarray:
+    return np.ones(data.n_samples, dtype=bool)
+
+
+def fit_all(data: FeatureMatrix, k: int) -> PcaModel:
+    return fit_pca(data, k, every_row(data))
+
+
+def coords(model: PcaModel, values: np.ndarray) -> np.ndarray:
+    """Raw principal coordinates (centered, unscaled), as one product."""
+    return (values - model.mean) @ model.components.T
 
 
 def covariance_eig_oracle(values: np.ndarray):
@@ -45,10 +58,10 @@ def apply_sign_convention(components: np.ndarray) -> np.ndarray:
 def test_points_on_a_line():
     t = np.linspace(-1, 1, 30)
     data = matrix(np.column_stack([t, t]))
-    model = fit_pca(data, k=2)
+    model = fit_all(data, k=2)
     expected = np.array([1.0, 1.0]) / np.sqrt(2)
     np.testing.assert_allclose(np.abs(model.components[0]), expected, atol=1e-12)
-    variance = np.var(project(model, data.values), axis=0, ddof=1)
+    variance = np.var(coords(model, data.values), axis=0, ddof=1)
     ratio = variance[0] / variance.sum()
     assert abs(ratio - 1.0) < 1e-12
 
@@ -56,7 +69,7 @@ def test_points_on_a_line():
 def test_full_rank_orthonormality():
     rng = np.random.default_rng(1)
     data = matrix(rng.standard_normal((40, 6)))
-    model = fit_pca(data, k=6)
+    model = fit_all(data, k=6)
     gram = model.components @ model.components.T
     assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
@@ -64,9 +77,9 @@ def test_full_rank_orthonormality():
 def test_matches_covariance_eigendecomposition_oracle():
     rng = np.random.default_rng(202)
     data = matrix(rng.standard_normal((50, 8)))
-    model = fit_pca(data, k=3)
+    model = fit_all(data, k=3)
     eigvals, eigvecs = covariance_eig_oracle(data.values)
-    variance = np.var(project(model, data.values), axis=0, ddof=1)
+    variance = np.var(coords(model, data.values), axis=0, ddof=1)
     np.testing.assert_allclose(variance, eigvals[:3], atol=1e-9)
     np.testing.assert_allclose(
         model.components, apply_sign_convention(eigvecs[:3]), atol=1e-9
@@ -78,7 +91,7 @@ def test_matches_svd_oracle_on_distinct_nonzero_eigenvalues():
     # only the first five components are defined up to sign
     rng = np.random.default_rng(55)
     values = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 8))
-    model = fit_pca(matrix(values), k=8)
+    model = fit_all(matrix(values), k=8)
     eigvals, eigvecs = svd_oracle(values)
     assert np.all(np.diff(eigvals[:5]) < -1e-6 * eigvals[0])
     assert eigvals[4] > 1e-6 * eigvals[0] and eigvals[5] < 1e-12 * eigvals[0]
@@ -89,24 +102,23 @@ def test_matches_svd_oracle_on_distinct_nonzero_eigenvalues():
     assert np.max(np.abs(gram - np.eye(8))) < 1e-10
 
 
-_PCA_DIGEST = """
+_REDUCED_DIGEST = """
 import hashlib, sys
-import numpy as np
-from qmlrobust.data import FeatureMatrix
-from qmlrobust.pca import fit_pca
+from qmlrobust.experiment import ExperimentConfig, reduce_dataset
 
-rows = 24000  # an SVD of this many rows changed bits with the thread count
-rng = np.random.default_rng(rows)
-values = rng.uniform(0, 1, size=(rows, 22))
-model = fit_pca(FeatureMatrix(values=values, labels=np.ones(rows, dtype=int)), k=8)
-digest = hashlib.sha256(model.components.tobytes())
-digest.update(model.proj_min.tobytes() + model.proj_max.tobytes())
+reduced, names = reduce_dataset(ExperimentConfig(data_path={path!r}, pca_components=16))
+digest = hashlib.sha256(reduced.values.tobytes())
+digest.update("\\n".join(names).encode())
 sys.stdout.write(digest.hexdigest())
 """
 
 
-def test_pca_bytes_do_not_depend_on_blas_threads():
-    digests = stdout_at_blas_threads(_PCA_DIGEST)
+def test_pca_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the table's width at k=16; 5130 rows leave a 10-row tail block, whose
+    # product OpenBLAS may compute apart from the full blocks
+    path = tmp_path / "data.csv"
+    write_labeled_csv(make_separable(5130, 55, seed=3), path)
+    digests = stdout_at_blas_threads(_REDUCED_DIGEST.format(path=str(path)))
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
 
@@ -114,8 +126,8 @@ def test_pca_bytes_do_not_depend_on_blas_threads():
 def test_explained_variance_ordering_and_total():
     rng = np.random.default_rng(7)
     values = rng.standard_normal((60, 5)) * np.array([3.0, 2.0, 1.5, 1.0, 0.5])
-    model = fit_pca(matrix(values), k=5)
-    variance = np.var(project(model, values), axis=0, ddof=1)
+    model = fit_all(matrix(values), k=5)
+    variance = np.var(coords(model, values), axis=0, ddof=1)
     diffs = np.diff(variance)
     assert np.all(diffs <= 1e-12)
     total = values.var(axis=0, ddof=1).sum()
@@ -128,7 +140,7 @@ def test_orthonormality_random_sizes():
         n = int(rng.integers(10, 201))
         d = int(rng.integers(2, 33))
         k = int(rng.integers(1, min(n, d) + 1))
-        model = fit_pca(matrix(rng.standard_normal((n, d))), k=k)
+        model = fit_all(matrix(rng.standard_normal((n, d))), k=k)
         gram = model.components @ model.components.T
         assert np.max(np.abs(gram - np.eye(k))) < 1e-10
 
@@ -136,21 +148,21 @@ def test_orthonormality_random_sizes():
 def test_k_out_of_range():
     data = matrix(np.random.default_rng(0).standard_normal((10, 4)))
     with pytest.raises(ValueError):
-        fit_pca(data, k=0)
+        fit_all(data, k=0)
     with pytest.raises(ValueError):
-        fit_pca(data, k=5)
+        fit_all(data, k=5)
 
 
 def test_zero_variance_data_rejected():
     data = matrix(np.ones((12, 3)))
     with pytest.raises(ValueError, match="identical"):
-        fit_pca(data, k=1)
+        fit_all(data, k=1)
 
 
 def test_sign_convention_deterministic():
     rng = np.random.default_rng(5)
     values = rng.standard_normal((30, 4))
-    model = fit_pca(matrix(values), k=4)
+    model = fit_all(matrix(values), k=4)
     for row in model.components:
         assert row[np.argmax(np.abs(row))] >= 0
 
@@ -161,16 +173,16 @@ def test_sign_convention_deterministic():
 def test_projection_of_mean_is_zero():
     rng = np.random.default_rng(9)
     data = matrix(rng.uniform(0, 1, size=(25, 6)))
-    model = fit_pca(data, k=3)
-    coords = project(model, data.values.mean(axis=0, keepdims=True))
-    assert np.max(np.abs(coords)) < 1e-12
+    model = fit_all(data, k=3)
+    origin = coords(model, data.values.mean(axis=0, keepdims=True))
+    assert np.max(np.abs(origin)) < 1e-12
 
 
 def test_wide_input_reduces_to_k_columns():
     rng = np.random.default_rng(13)
     data = matrix(rng.uniform(0, 1, size=(120, 108)))
-    model = fit_pca(data, k=16)
-    out = transform_pca(model, data)
+    model = fit_all(data, k=16)
+    out = transform_pca(model, data, every_row(data))
     assert out.values.shape == (120, 16)
     np.testing.assert_array_equal(out.labels, data.labels)
 
@@ -178,56 +190,63 @@ def test_wide_input_reduces_to_k_columns():
 def test_round_trip_with_all_components():
     rng = np.random.default_rng(21)
     values = rng.standard_normal((30, 5))
-    model = fit_pca(matrix(values), k=5)
-    coords = project(model, values)
-    reconstructed = coords @ model.components + model.mean
+    model = fit_all(matrix(values), k=5)
+    reconstructed = coords(model, values) @ model.components + model.mean
     assert np.max(np.abs(reconstructed - values)) < 1e-9
 
 
 def test_transform_scales_training_data_into_unit_box():
     rng = np.random.default_rng(2)
-    data = matrix(rng.uniform(0, 1, size=(40, 6)))
-    model = fit_pca(data, k=4)
-    out = transform_pca(model, data)
-    assert np.all((out.values >= 0) & (out.values <= 1))
-    # training projections span the recorded ranges, so both ends are hit
-    assert np.max(np.abs(out.values.min(axis=0) - 0.0)) < 1e-15
-    assert np.max(np.abs(out.values.max(axis=0) - 1.0)) < 1e-15
+    small = matrix(rng.uniform(0, 1, size=(40, 6)))
+    paper = make_separable(5130, 55, seed=3)  # the table's width; a 10-row tail block
+    for data, k, train in (
+        (small, 4, every_row(small)),
+        (paper, 16, shuffle_and_split(paper, seed=1) == "train"),
+    ):
+        out = transform_pca(fit_pca(data, k, train), data, train)
+        assert np.all((out.values >= 0) & (out.values <= 1))
+        # the range is read off the projections it rescales, so both ends are hit exactly
+        assert np.all(out.values[train].min(axis=0) == 0.0)
+        assert np.all(out.values[train].max(axis=0) == 1.0)
 
 
 def test_transform_clips_out_of_range_rows():
     rng = np.random.default_rng(3)
-    train = matrix(rng.uniform(0.4, 0.6, size=(30, 4)))
-    model = fit_pca(train, k=2)
-    wild = matrix(rng.uniform(-5, 5, size=(10, 4)))
-    out = transform_pca(model, wild)
+    train = rng.uniform(0.4, 0.6, size=(30, 4))
+    wild = rng.uniform(-5, 5, size=(10, 4))
+    data, rows = matrix(np.vstack([train, wild])), np.arange(30)
+    out = transform_pca(fit_pca(data, 2, rows), data, rows)
     assert np.all((out.values >= 0) & (out.values <= 1))
 
 
 def test_transform_maps_a_zero_span_component_to_positive_zero():
     # the second component saw one training value, so it has no range to rescale by
-    lo, hi = np.array([-2.0, 0.5]), np.array([2.0, 0.5])
-    model = PcaModel(mean=np.zeros(2), components=np.eye(2), proj_min=lo, proj_max=hi)
-    out = transform_pca(model, matrix([[-1.0, -0.0], [0.0, 3.0], [5.0, -7.0]]))
-    assert out.values.tobytes() == np.array([[0.25, 0.0], [0.5, 0.0], [1.0, 0.0]]).tobytes()
+    model = PcaModel(mean=np.zeros(2), components=np.eye(2))
+    data = matrix([[-2.0, 0.5], [2.0, 0.5], [-1.0, -0.0], [0.0, 3.0], [5.0, -7.0]])
+    out = transform_pca(model, data, np.arange(2))
+    expected = [[0.0, 0.0], [1.0, 0.0], [0.25, 0.0], [0.5, 0.0], [1.0, 0.0]]
+    assert out.values.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("k", [2, 5])
 def test_blocked_transform_matches_the_one_shot_projection_bytes(k):
     rng = np.random.default_rng(25)
-    values = rng.uniform(0, 1, size=(2 * CHUNK_ROWS + 7, 12))
-    model = fit_pca(matrix(values[:300]), k)  # fit on a few rows, so some of the rest clip
-    one_shot = (values - model.mean) @ model.components.T
-    expected = np.clip(scale_to_unit(one_shot, model.proj_min, model.proj_max), 0.0, 1.0)
-    assert transform_pca(model, matrix(values)).values.tobytes() == expected.tobytes()
+    data = matrix(rng.uniform(0, 1, size=(2 * CHUNK_ROWS + 7, 12)))
+    head = np.arange(300)  # fit on a few rows, so some of the rest clip
+    model = fit_pca(data, k, head)
+    one_shot = coords(model, data.values)
+    lo, hi = one_shot[head].min(axis=0), one_shot[head].max(axis=0)
+    expected = np.clip(scale_to_unit(one_shot, lo, hi), 0.0, 1.0)
+    assert transform_pca(model, data, head).values.tobytes() == expected.tobytes()
 
 
 def test_transform_memory_is_bounded_by_its_output_and_a_block():
     rng = np.random.default_rng(26)
     n, d = 20000, 30
     data = matrix(rng.uniform(0, 1, size=(n, d)))
-    model = fit_pca(matrix(data.values[:1000]), k=4)
-    out, peak = traced_peak(transform_pca, model, data)
+    head = np.arange(1000)
+    model = fit_pca(data, 4, head)
+    out, peak = traced_peak(transform_pca, model, data, head)
     # a centered n×d copy of the data would add 4.6 MiB
     assert peak < out.values.nbytes + out.labels.nbytes + 2 * CHUNK_ROWS * d * 8
 
@@ -237,12 +256,12 @@ def test_fit_on_selected_rows_matches_a_fit_on_their_copy(select):
     rng = np.random.default_rng(27)
     data = matrix(rng.uniform(0, 1, size=(300, 7)))
     mask = rng.uniform(size=300) < (1.0 if select == "all" else 0.6)
-    rows = {"mask": mask, "indices": np.flatnonzero(mask), "all": None}[select]
+    rows = {"mask": mask, "indices": np.flatnonzero(mask), "all": every_row(data)}[select]
     before = data.values.copy()
     model = fit_pca(data, 3, rows)
     assert data.values.tobytes() == before.tobytes()  # the copy is centered, not the caller's rows
-    expected = fit_pca(subset(data, mask), 3)
-    for field in ("mean", "components", "proj_min", "proj_max"):
+    expected = fit_all(subset(data, mask), 3)
+    for field in ("mean", "components"):
         assert getattr(model, field).tobytes() == getattr(expected, field).tobytes()
 
 
@@ -251,13 +270,5 @@ def test_fit_memory_is_one_copy_of_the_training_rows():
     data = make_separable(50000, 22, seed=3)
     train = shuffle_and_split(data, seed=1) == "train"
     _, peak = traced_peak(fit_pca, data, 2, train)
-    copy, projection = train.sum() * 22 * 8, train.sum() * 2 * 8
     # a copy of the rows and a centered copy of that copy would take 8.6 MiB
-    assert peak < copy + projection + 2**20
-
-
-def test_transform_dimension_mismatch():
-    rng = np.random.default_rng(4)
-    model = fit_pca(matrix(rng.standard_normal((20, 5))), k=2)
-    with pytest.raises(ValueError, match="features"):
-        transform_pca(model, matrix(rng.standard_normal((5, 7))))
+    assert peak < train.sum() * 22 * 8 + 2**20
