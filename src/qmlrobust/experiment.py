@@ -157,7 +157,8 @@ def _stage(name: str):
 
 def reduce_dataset(cfg: ExperimentConfig) -> tuple[FeatureMatrix, np.ndarray]:
     """load -> encode/normalize -> split -> PCA (fit on the train rows, then
-    project every row once and rescale by the train rows' range).
+    project every row once, uncentered, and rescale by the train rows' range;
+    the bits depend on neither the BLAS thread count nor `CHUNK_ROWS`).
 
     Returns (reduced, names): every row PCA-reduced, in file order, and each
     row's split name from `shuffle_and_split`, the pair `write_reduced_csv`

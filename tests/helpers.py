@@ -1,7 +1,7 @@
 """Test-only data builders and readers: a separable synthetic dataset, its
-raw CSV form, a reader for the report's curve CSVs, a brute-force circuit
-depth, a script's output at one and at two BLAS threads, and a call's
-traced peak memory."""
+raw CSV form with or without text columns, a reader for the report's curve
+CSVs, a brute-force circuit depth, a script's output at one and at two BLAS
+threads, and a call's traced peak memory."""
 import csv
 import os
 import subprocess
@@ -39,6 +39,22 @@ def write_labeled_csv(data: FeatureMatrix, path: str | Path, label_column: str =
         writer.writerow(header)
         for row, label in zip(data.values, data.labels):
             writer.writerow([format(v, ".17e") for v in row] + [1 if label > 0 else 0])
+
+
+def write_text_column_csv(path: str | Path, n_rows: int, seed: int) -> None:
+    """A raw CSV of 12 numeric columns, two text-categorical columns and a
+    text label "diagnosis" (benign/malignant), which `load_csv` parses as
+    object arrays and `encode_and_normalize` one-hot encodes."""
+    data = make_separable(n_rows, 12, seed)
+    rng = np.random.default_rng([seed, 1])
+    colors = rng.choice(["red", "green", "blue"], n_rows)
+    regions = rng.choice(["north", "south", "east", "west"], n_rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j}" for j in range(12)] + ["color", "region", "diagnosis"])
+        for row, color, region, label in zip(data.values, colors, regions, data.labels):
+            diagnosis = "malignant" if label > 0 else "benign"
+            writer.writerow([format(v, ".6f") for v in row] + [color, region, diagnosis])
 
 
 def read_curve_csv(path: str | Path, kind: str = "roc") -> Curve:

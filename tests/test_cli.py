@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import layering_oracle
+from helpers import layering_oracle, make_separable, write_labeled_csv, write_text_column_csv
 
 import qmlrobust
 from qmlrobust import cli
@@ -588,6 +588,38 @@ def test_staged_subcommands_are_byte_identical_across_hash_seeds(synth_csv, tmp_
     assert sorted(files) == ["attacked.csv", "in_place.csv", "nn.json", "qnn.json", "reduced.csv"]
     assert files["in_place.csv"] == files["attacked.csv"] != files["reduced.csv"]
     assert stdout.count("\n") == 7
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "kind, flags",
+    [
+        ("numeric", ["--pca-components", "4"]),
+        ("text", ["--label-column", "diagnosis", "--pca-components", "2", "--qnn-layers", "1"]),
+    ],
+)
+def test_run_is_byte_identical_across_hash_seeds(tmp_path, kind, flags):
+    # fresh processes with different hash seeds, into the same output path;
+    # the text input's columns are parsed as object arrays and one-hot encoded
+    if kind == "numeric":
+        write_labeled_csv(make_separable(400, 12, seed=3), tmp_path / "data.csv")
+    else:
+        write_text_column_csv(tmp_path / "data.csv", 3000, seed=3)
+    argv = [sys.executable, "-m", "qmlrobust", "run", "--data-path", "data.csv", *flags,
+            "--epochs", "3", "--output-dir", "out"]  # fmt: skip
+    src = str(Path(qmlrobust.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                             timeout=300)  # fmt: skip
+        assert run.returncode == 0, run.stderr
+        outputs.append(({f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()}, run.stdout))
+        shutil.rmtree(tmp_path / "out")
+    files, stdout = outputs[0]
+    assert {"nn_model.txt", "qnn_model.txt", "report.json"} <= set(files)
+    assert stdout
     assert outputs[0] == outputs[1]
 
 
