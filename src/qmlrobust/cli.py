@@ -17,6 +17,8 @@ explicit flags win. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import functools
 import json
 import os
@@ -271,11 +273,55 @@ def _refuse_unusable_output(command: str, cfg: ExperimentConfig, args) -> None:
             raise NotADirectoryError(f"--output {path}: {path.parent} is not a directory")
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS (numpy.libs or
+    numpy/.dylibs): scipy-openblas in numpy 2.x wheels, the 64-bit OpenBLAS of
+    older ones, or a plain one. None under another BLAS (MKL, Accelerate) or a
+    system OpenBLAS."""
+    root = Path(np.__file__).resolve().parent
+    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS at one thread for the body, then the caller's count again; else a no-op."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Parse argv and run its command: 0, or 1 with the error on stderr (usage errors exit 2).
+
+    The command runs at one OpenBLAS thread, so its BLAS calls (the MLP's
+    products, `eigh` in the PCA) give the same bits at any OPENBLAS_NUM_THREADS;
+    the caller's count is restored after it, also on failure. Under another BLAS
+    (MKL, Accelerate) the count is left alone, and `run`'s nn bits may follow it.
+    """
     command, cfg, args = parse_cli(sys.argv[1:] if argv is None else list(argv))
     try:
         _refuse_unusable_output(command, cfg, args)
-        _COMMANDS[command](cfg, args)
+        with _one_blas_thread():
+            _COMMANDS[command](cfg, args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,6 +15,11 @@ is positive exactly where its output is, so backprop reads its mask off them.
 `_backprop` overwrites each spent hidden activation with that layer's delta.
 `train_mlp` allocates one set for the larger of its train and validation
 sets and refills it every epoch; X is never written to.
+
+**Threads.** `np.matmul` runs on numpy's BLAS, and OpenBLAS splits a large
+product's reduction over the rows across its threads, which moves the bits.
+`cli.main` runs each command at one OpenBLAS thread; a library caller of
+`train_mlp` keeps its own setting, as does one on another BLAS (MKL, Accelerate).
 """
 from __future__ import annotations
 

@@ -1,8 +1,9 @@
 """Test-only data builders and readers: a separable synthetic dataset, its
 raw CSV form with or without text columns, a reader for the report's curve
-CSVs, a brute-force circuit depth, a script's output at one and at two BLAS
-threads, and a call's traced peak memory."""
+CSVs, digests of a report directory, a brute-force circuit depth, a script's
+output at one and at two BLAS threads, and a call's traced peak memory."""
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -66,6 +67,17 @@ def read_curve_csv(path: str | Path, kind: str = "roc") -> Curve:
     x, y = points[:, 0], points[:, 1]
     auc = float(np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0))
     return Curve(points=points, auc=auc, kind=kind)
+
+
+def artifact_digests(out_dir: str | Path) -> dict[str, str]:
+    """sha256 of each file in a report directory, without the lines that
+    name the directory (config.echo's and report.json's `output_dir`)."""
+    digests = {}
+    for path in sorted(Path(out_dir).iterdir()):
+        lines = path.read_bytes().splitlines(keepends=True)
+        kept = b"".join(line for line in lines if b"output_dir" not in line)
+        digests[path.name] = hashlib.sha256(kept).hexdigest()
+    return digests
 
 
 def layering_oracle(circuit: QuantumCircuit) -> int:

@@ -3,15 +3,24 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import layering_oracle, make_separable, write_labeled_csv, write_text_column_csv
+from helpers import (
+    artifact_digests,
+    layering_oracle,
+    make_separable,
+    stdout_at_blas_threads,
+    write_labeled_csv,
+    write_text_column_csv,
+)
 
 import qmlrobust
-from qmlrobust import cli
+from qmlrobust import cli, experiment
+from qmlrobust import qnn as qnn_module
 from qmlrobust.cli import build_parser, main, parse_cli, read_config_file
 from qmlrobust.experiment import ExperimentConfig, load_report_json
 from qmlrobust.qnn import build_model_circuit, load_qnn
@@ -552,30 +561,39 @@ def test_a_file_that_is_not_utf8_is_refused_by_name(synth_csv, tmp_path, capsys,
 
 
 _STAGED_SCRIPT = """
-import shutil
+import filecmp, shutil
 from qmlrobust.cli import main
-shared = ["--seed", "5", "--pca-components", "3"]
-assert main(["preprocess", "--data-path", "data.csv", *shared, "--output", "out/reduced.csv"]) == 0
-attack = ["attack", "--seed", "5", "--input"]
-assert main([*attack, "out/reduced.csv", "--output", "out/attacked.csv"]) == 0
+preprocess = ["preprocess", "--data-path", "data.csv", "--pca-components", "4",
+              "--output", "out/reduced.csv"]
+assert main(preprocess) == 0
+# over an existing output: written beside it and moved into place, so the bytes are a fresh run's
+shutil.copyfile("out/reduced.csv", "fresh.csv")
+assert main(preprocess) == 0
+assert filecmp.cmp("out/reduced.csv", "fresh.csv", shallow=False)
+assert main(["attack", "--input", "out/reduced.csv", "--output", "out/attacked.csv"]) == 0
+# in place: the copy goes through a file beside the output, so --output may be --input
 shutil.copyfile("out/reduced.csv", "out/in_place.csv")
-assert main([*attack, "out/in_place.csv", "--output", "out/in_place.csv"]) == 0
+assert main(["attack", "--input", "out/in_place.csv", "--output", "out/in_place.csv"]) == 0
 for model in ("nn", "qnn"):
     assert main(["evaluate", "--checkpoint", f"{model}_model.txt",
                  "--input", "out/attacked.csv", "--output", f"out/{model}.json"]) == 0
 """
 
 
-def test_staged_subcommands_are_byte_identical_across_hash_seeds(synth_csv, tmp_path):
+def test_staged_subcommands_are_byte_identical_across_hash_seeds(tmp_path):
+    # the staged path carries the split as a per-row name through the reduced
+    # CSV; same data, same output paths, two hash seeds in fresh processes
+    data = tmp_path / "data.csv"
+    write_labeled_csv(make_separable(400, 12, seed=3), data)
     models = tmp_path / "models"
-    assert main(["run", "--data-path", str(synth_csv), "--output-dir", str(models), "--seed", "5",
-                 "--pca-components", "3", "--epochs", "2", "--mlp-hidden", "4"]) == 0  # fmt: skip
+    assert main(["run", "--data-path", str(data), "--pca-components", "4", "--epochs", "3",
+                 "--output-dir", str(models)]) == 0  # fmt: skip
     src = str(Path(qmlrobust.__file__).resolve().parents[1])
     outputs = []
     for seed in ("1", "2"):
         work = tmp_path / f"hash_seed_{seed}"
         (work / "out").mkdir(parents=True)
-        shutil.copyfile(synth_csv, work / "data.csv")
+        shutil.copyfile(data, work / "data.csv")
         for model in ("nn", "qnn"):
             shutil.copyfile(models / f"{model}_model.txt", work / f"{model}_model.txt")
         env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -587,7 +605,7 @@ def test_staged_subcommands_are_byte_identical_across_hash_seeds(synth_csv, tmp_
     files, stdout = outputs[0]
     assert sorted(files) == ["attacked.csv", "in_place.csv", "nn.json", "qnn.json", "reduced.csv"]
     assert files["in_place.csv"] == files["attacked.csv"] != files["reduced.csv"]
-    assert stdout.count("\n") == 7
+    assert stdout.count("\n") == 8
     assert outputs[0] == outputs[1]
 
 
@@ -621,6 +639,103 @@ def test_run_is_byte_identical_across_hash_seeds(tmp_path, kind, flags):
     assert {"nn_model.txt", "qnn_model.txt", "report.json"} <= set(files)
     assert stdout
     assert outputs[0] == outputs[1]
+
+
+_RUN_DIGESTS = """
+import json, sys
+sys.path.insert(0, {tests!r})
+from helpers import artifact_digests
+from qmlrobust.cli import main
+assert main({argv!r}) == 0
+print(json.dumps(artifact_digests({out!r})))
+"""
+
+
+def test_run_artifacts_are_a_function_of_the_config_alone(tmp_path):
+    # d=55 and k=16 as in the paper's table: 572 train rows, so the QNN's
+    # 512-row blocks leave a 60-row tail, and hidden layers wide enough for
+    # OpenBLAS to split the MLP's products across two threads
+    data = tmp_path / "data.csv"
+    write_labeled_csv(make_separable(1190, 55, seed=3), data)
+
+    def argv(out):
+        return ["run", "--data-path", str(data), "--epochs", "3", "--mlp-hidden", "64,32",
+                "--output-dir", str(out)]  # fmt: skip
+
+    runs = {}
+    binders = [m for n, m in sorted(sys.modules.items())
+               if n.startswith("qmlrobust.") and hasattr(m, "CHUNK_ROWS")]  # fmt: skip
+    assert binders
+    for chunk_rows in (1024, 97, 7):
+        with ExitStack() as patches:
+            for module in binders:
+                patches.enter_context(mock.patch.object(module, "CHUNK_ROWS", chunk_rows))
+            assert main(argv(tmp_path / f"chunk_{chunk_rows}")) == 0
+        runs[f"CHUNK_ROWS={chunk_rows}"] = artifact_digests(tmp_path / f"chunk_{chunk_rows}")
+    # the runs above score in 512-row blocks (3 MiB); this one in blocks of one
+    # row, as `_block_rows` counts 24 * k * 4**layers bytes per row
+    assert qnn_module._block_rows(16, 2) == 512
+    with mock.patch.object(qnn_module, "_BLOCK_BYTES", 24 * 16 * 4**2):
+        assert qnn_module._block_rows(16, 2) == 1
+        assert main(argv(tmp_path / "one_row_blocks")) == 0
+    runs["one row per block"] = artifact_digests(tmp_path / "one_row_blocks")
+    tests = str(Path(__file__).resolve().parent)
+    fresh = tmp_path / "fresh"
+    script = _RUN_DIGESTS.format(tests=tests, argv=argv(fresh), out=str(fresh))
+    for threads, stdout in zip((1, 2), stdout_at_blas_threads(script)):
+        runs[f"OPENBLAS_NUM_THREADS={threads}"] = json.loads(stdout.splitlines()[-1])
+
+    reference = runs["CHUNK_ROWS=1024"]
+    assert {"nn_model.txt", "qnn_model.txt", "report.json", "config.echo"} <= set(reference)
+    assert [name for name, digests in runs.items() if digests != reference] == []
+
+
+@pytest.fixture
+def openblas():
+    """(get, set) of numpy's OpenBLAS thread count, set to 2; the count is restored after."""
+    blas = cli._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is no OpenBLAS bundled with numpy")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    yield blas
+    set_(before)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_a_command_runs_at_one_blas_thread_and_gives_the_count_back(
+    openblas, synth_csv, tmp_path, monkeypatch, capsys, fails
+):
+    get, _ = openblas
+    seen = []
+    real_train_mlp = experiment.train_mlp
+
+    def train_mlp(*args):
+        seen.append(get())
+        if fails:
+            raise RuntimeError("trainer failed")
+        return real_train_mlp(*args)
+
+    monkeypatch.setattr(experiment, "train_mlp", train_mlp)
+    argv = ["run", "--data-path", str(synth_csv), "--pca-components", "3", "--epochs", "1",
+            "--output-dir", str(tmp_path / "o")]  # fmt: skip
+    assert main(argv) == int(fails)
+    assert ("trainer failed" in capsys.readouterr().err) == fails
+    assert seen == [1] and get() == 2
+
+
+def test_an_openblas_numpy_reports_is_one_main_finds(capsys):
+    # the lookup's no-op is meant for other BLAS libraries (MKL, Accelerate);
+    # it must not hide an OpenBLAS that numpy names
+    try:
+        named = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # older numpy prints its config and takes no mode
+        np.show_config()
+        named = capsys.readouterr().out
+    if "openblas" not in named.lower():
+        pytest.skip(f"numpy's BLAS is {named!r}")
+    assert cli._openblas_threads() is not None
 
 
 def test_evaluate_unknown_split_fails(synth_csv, tmp_path, capsys):
