@@ -52,12 +52,13 @@ from .qnn import load_qnn, qnn_scores, save_qnn
 def read_config_file(path: str | Path) -> dict[str, object]:
     """Config field values from "key = value" lines; blank lines and # comments ignored.
 
-    Each key must be a config field name, and its value must parse as that
-    field's type; otherwise the error names the file, the line and the key.
+    Each key must be a config field name set once, and its value must parse as
+    that field's type; otherwise the error names the file, the line and the key.
     """
     with utf8_text(path):
         lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -67,6 +68,11 @@ def read_config_file(path: str | Path) -> dict[str, object]:
         key, _, value = (part.strip() for part in text.partition("="))
         if key not in CONFIG_CODECS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate key {key!r} (first set on line {first_line[key]})"
+            )
+        first_line[key] = lineno
         try:
             values[key] = CONFIG_CODECS[key][0](value)
         except ValueError:
@@ -195,7 +201,7 @@ def _cmd_attack(cfg: ExperimentConfig, args) -> None:
     data, names = read_reduced_csv(args.input)
     split = args.target_split
     rows = np.flatnonzero(_split_rows(names, split))
-    adv, hit = build_adversarial_set(subset(data, rows), cfg.perturbation(split))
+    adv, hit = build_adversarial_set(subset(data, rows), **cfg.perturbation(split))
     data.values[rows] = adv.values
     write_reduced_csv(data, names, args.output, args.input, rows[hit])
     print(f"perturbed {hit.size}/{adv.n_samples} rows of split {split!r} -> {args.output}")

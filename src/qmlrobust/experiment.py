@@ -48,7 +48,7 @@ from .metrics import (
 from .mlp import MlpModel, init_mlp, mlp_scores, train_mlp
 from .optim import EpochRecord
 from .pca import fit_pca, transform_pca
-from .perturb import PerturbationConfig, build_adversarial_set
+from .perturb import build_adversarial_set
 from .qnn import QnnModel, init_params, qnn_scores, train_qnn
 
 EVALUATE_ONLY = "evaluate-only"
@@ -112,12 +112,10 @@ class ExperimentConfig:
         """Config as ordered key/value strings (the config.echo file content)."""
         return {name: fmt(getattr(self, name)) for name, (_, fmt) in CONFIG_CODECS.items()}
 
-    def perturbation(self, split: str) -> PerturbationConfig:
-        """The configured attack on one split: noise-finetune on "finetune", else noise."""
-        stream = "noise-finetune" if split == "finetune" else "noise"
-        return PerturbationConfig(
-            epsilon=self.epsilon, seed=stage_seed(self.seed, stream), fraction=self.perturb_fraction
-        )
+    def perturbation(self, split: str) -> dict[str, float | int]:
+        """The attack's keywords on one split: noise-finetune on "finetune", else noise."""
+        seed = stage_seed(self.seed, "noise-finetune" if split == "finetune" else "noise")
+        return {"epsilon": self.epsilon, "seed": seed, "fraction": self.perturb_fraction}
 
 
 def int_list(text: str) -> list[int]:
@@ -217,11 +215,11 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[Report, dict[str, MlpModel | Qn
             results[m, "clean"] = _evaluate(test.labels, scorers[m](models[m], test.values))
 
     with _stage("attack"):
-        adv_test, _ = build_adversarial_set(test, cfg.perturbation("test"))
+        adv_test, _ = build_adversarial_set(test, **cfg.perturbation("test"))
 
     if cfg.finetune_mode == FINETUNE:
         with _stage("finetune"):
-            adv_ft, _ = build_adversarial_set(finetune, cfg.perturbation("finetune"))
+            adv_ft, _ = build_adversarial_set(finetune, **cfg.perturbation("finetune"))
             for m in MODELS:
                 models[m], histories[f"{m}_finetune"] = trainers[m](
                     models[m], adv_ft, val, cfg.epochs, cfg.learning_rate

@@ -47,10 +47,11 @@ costs about n * 8**(layers - 1) operations per row where a statevector
 costs layers * 2**n, so the MPS wins at every width with 1 or 2 layers (it
 makes 32 qubits cheap) and loses on deep circuits: the bond is not capped,
 and at 8 qubits with 6 layers `qnn_scores` plus `parameter_shift_grad` of
-200 rows took 6.3 s against 25 ms for a float64 statevector (best of 5
-and of 20 runs, 2-core Xeon). The kernel runs in row blocks whose
-gradient arrays total about `_BLOCK_BYTES`, so a wide model stays in
-bounded memory. A row's score and gradient term have the same bits in any
+200 uniform rows took 3.3 s against 18 ms for the float64 statevector in
+tests/statevector.py (best of 2 and of 20 runs at one OpenBLAS thread,
+2-core Xeon; ROADMAP item 6 tracks the fix). The kernel runs in row
+blocks whose gradient arrays total about `_BLOCK_BYTES`, so a wide model
+stays in bounded memory. A row's score and gradient term have the same bits in any
 block, and `parameter_shift_grad` sums the terms of all rows at once.
 
 `build_model_circuit` alone spells out the model's gates as a gate list,

@@ -42,7 +42,7 @@ def oracle(source, output, split="test", fraction=0.3, epsilon=0.4, seed=5):
     data, names = read_reduced_csv(source)
     rows = np.flatnonzero(names == split)
     cfg = ExperimentConfig(data_path="", seed=seed, epsilon=epsilon, perturb_fraction=fraction)
-    adv, hit = build_adversarial_set(subset(data, rows), cfg.perturbation(split))
+    adv, hit = build_adversarial_set(subset(data, rows), **cfg.perturbation(split))
     values = data.values.copy()
     values[rows] = adv.values
     write_reduced_csv(FeatureMatrix(values=values, labels=data.labels), names, output)

@@ -159,7 +159,11 @@ def test_config_file_parse_errors(tmp_path):
 
 @pytest.mark.parametrize(
     "line, message",
-    [("epoch = 1", "unknown key 'epoch'"), ("epochs = ten", "bad value for epochs: 'ten'")],
+    [
+        ("epoch = 1", "unknown key 'epoch'"),
+        ("epochs = ten", "bad value for epochs: 'ten'"),
+        ("data_path = e.csv", "duplicate key 'data_path' (first set on line 2)"),
+    ],
 )
 def test_config_file_bad_key_or_value_is_usage_error(tmp_path, capsys, line, message):
     config = tmp_path / "exp.cfg"

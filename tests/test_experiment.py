@@ -65,17 +65,20 @@ def test_stage_seeds_distinct_and_stable():
 
 def test_attack_substream_follows_the_split():
     cfg = ExperimentConfig(data_path="x.csv", seed=7)
-    assert cfg.perturbation("finetune").seed == stage_seed(7, "noise-finetune")
+    assert cfg.perturbation("finetune")["seed"] == stage_seed(7, "noise-finetune")
+    noise = {"epsilon": 0.1, "seed": stage_seed(7, "noise"), "fraction": 1.0}
     for split in ("train", "val", "test"):
-        assert cfg.perturbation(split).seed == stage_seed(7, "noise")
+        assert cfg.perturbation(split) == noise
 
 
 def test_config_validation_messages():
-    cfg = ExperimentConfig(data_path="x.csv", epsilon=-1.0)
-    with pytest.raises(ValueError, match="epsilon"):
-        cfg.validate()
-    with pytest.raises(ValueError, match="perturb-fraction"):
-        ExperimentConfig(data_path="x", perturb_fraction=0.0).validate()
+    # validate is the attack's only check of epsilon and fraction
+    for epsilon in (-1.0, -0.1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="^epsilon must be finite and >= 0$"):
+            ExperimentConfig(data_path="x.csv", epsilon=epsilon).validate()
+    for fraction in (0.0, 1.2, float("nan")):
+        with pytest.raises(ValueError, match=r"^perturb-fraction must be in \(0, 1\]$"):
+            ExperimentConfig(data_path="x", perturb_fraction=fraction).validate()
     with pytest.raises(ValueError, match="finetune-mode"):
         ExperimentConfig(data_path="x", finetune_mode="sometimes").validate()
 
@@ -137,7 +140,7 @@ def test_finetune_mode_scores_the_finetuned_models(synth_csv, tmp_path):
     report, models = run_pipeline(cfg)
     plain_report, plain_models = run_pipeline(replace(cfg, finetune_mode="evaluate-only"))
     reduced, names = reduce_dataset(cfg)
-    adv, _ = build_adversarial_set(subset(reduced, names == "test"), cfg.perturbation("test"))
+    adv, _ = build_adversarial_set(subset(reduced, names == "test"), **cfg.perturbation("test"))
     for m, scores in (("nn", mlp_scores), ("qnn", qnn_scores)):
         cm = confusion(adv.labels, scores(models[m], adv.values))
         assert report.after[m] == scalar_metrics(cm)
