@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmlrobust.data import FeatureMatrix
+from qmlrobust.experiment import ExperimentConfig
 from qmlrobust.perturb import build_adversarial_set
 
 
@@ -108,6 +109,16 @@ def test_empty_input_rejected():
     empty = FeatureMatrix(values=np.zeros((0, 3)), labels=np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
         build_adversarial_set(empty, epsilon=0.1, seed=0, fraction=1.0)
+
+
+def test_config_validation():
+    # ExperimentConfig.validate is the attack's only check of epsilon and fraction
+    for epsilon in (-0.1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="^epsilon must be finite and >= 0$"):
+            ExperimentConfig(data_path="x.csv", epsilon=epsilon).validate()
+    for fraction in (0.0, 1.2, float("nan")):
+        with pytest.raises(ValueError, match=r"^perturb-fraction must be in \(0, 1\]$"):
+            ExperimentConfig(data_path="x.csv", perturb_fraction=fraction).validate()
 
 
 @settings(max_examples=40, deadline=None)
