@@ -45,12 +45,16 @@ class EpochRecord:
 def epoch_record(
     train: FeatureMatrix, train_scores: np.ndarray, val: FeatureMatrix, val_scores: np.ndarray
 ) -> EpochRecord:
-    """Train and validation hinge loss, and validation accuracy with sign(0) = +1."""
-    return EpochRecord(
+    """Train and validation hinge loss, refused unless finite; val accuracy with sign(0) = +1."""
+    record = EpochRecord(
         train_loss=mean_hinge_loss(train.labels, train_scores),
         val_loss=mean_hinge_loss(val.labels, val_scores),
         val_accuracy=float(np.mean(np.where(val_scores >= 0.0, 1, -1) == val.labels)),
     )
+    for name, loss in (("train", record.train_loss), ("validation", record.val_loss)):
+        if not math.isfinite(loss):
+            raise ValueError(f"{name} loss is {loss}, not finite: the training diverged")
+    return record
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Variational quantum classifier: angle encoding, RY layers with a linear
 CNOT chain, Pauli-Z readout, hinge loss, adjoint gradients.
 
-The score of a sample is <Z> on the readout qubit in [-1, 1]; the predicted
+The score of a sample is <Z> on the last qubit in [-1, 1]; the predicted
 class is its sign (ties go to +1). Training is full-batch Adam from
 parameters drawn by `init_params`; `train_qnn` has the call shape of
 `mlp.train_mlp`.
@@ -11,8 +11,8 @@ model is real). Three facts shape it. The encoding RY(pi*x) and the
 layer-0 RY(theta) fuse into one rotation, so the state after layer 0 is a
 product state. The CNOT chain 0->1->...->n-1 sends basis state b to its
 prefix parities c_j = b_0 ^ ... ^ b_j, a classical map with a one-bit
-carry. The last chain folds into the readout: Z_r after it is
-Z_0 Z_1 ... Z_r before it.
+carry. The last chain folds into the readout: Z on the last qubit after it
+is Z_0 Z_1 ... Z_(n-1) before it, a Z-string over every qubit.
 
 **Layout.** Qubit q is one tensor of shape (left bond, 2, right bond,
 rows), rows last, and the tensors of all qubits are one array. A chain is
@@ -22,7 +22,7 @@ outgoing carry c on the right one; RY then mixes the physical index. Each
 chain doubles the bonds, so the state before the last chain is an exact
 MPS of bond 2**(layers - 1) (Vidal, quant-ph/0301063), and a score is one
 left-to-right transfer contraction with (1, -1) on the physical index of
-qubits up to the readout.
+every qubit.
 
 **Gradient.** Because the chain acts site by site, a site's final tensor
 depends only on its own feature and its own angles. The right environments
@@ -85,15 +85,10 @@ class QnnModel:
     n_qubits: int
     n_layers: int = 2
     params: np.ndarray | None = None  # length n_layers * n_qubits, row = layer
-    readout_qubit: int | None = None  # defaults to the last qubit
 
     def __post_init__(self):
         if self.n_qubits < 1 or self.n_layers < 1:
             raise ValueError("need at least one qubit and one layer")
-        if self.readout_qubit is None:
-            self.readout_qubit = self.n_qubits - 1
-        if not 0 <= self.readout_qubit < self.n_qubits:
-            raise ValueError(f"readout qubit {self.readout_qubit} out of range")
         if self.params is not None:
             self.params = np.asarray(self.params, dtype=float)
             if self.params.shape != (self.n_params,):
@@ -102,6 +97,10 @@ class QnnModel:
                     f"expected {self.n_params} parameters for {self.n_qubits} qubits x "
                     f"{self.n_layers} layers, found {found}"
                 )
+
+    @property
+    def readout_qubit(self) -> int:  # the model reads Z on its last qubit only
+        return self.n_qubits - 1
 
     @property
     def n_params(self) -> int:
@@ -203,18 +202,15 @@ def _left_edge(bond: int, rows: int) -> np.ndarray:
     return env
 
 
-def _absorb(env: np.ndarray, site: np.ndarray, flip: list[bool]) -> np.ndarray:
-    """half[s, l', p, r] = sum over l of env[s, l, l'] s_p site[s, l, p, r].
+def _absorb(env: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """half[s, l', p, r] = sum over l of env[s, l, l'] s_p site[s, l, p, r], s = (1, -1).
 
-    The leading axis stacks independent sweeps. s = (1, -1) where flip[s]
-    (qubits up to the readout), else (1, 1).
+    The leading axis stacks independent sweeps.
     """
     half = env[:, 0, :, None, None] * site[:, 0, None]
     for l in range(1, env.shape[1]):
         half += env[:, l, :, None, None] * site[:, l, None]
-    for s, negate in enumerate(flip):
-        if negate:
-            half[s, :, 1] *= -1.0
+    half[:, :, 1] *= -1.0
     return half
 
 
@@ -240,7 +236,7 @@ def _block_rows(n_qubits: int, n_layers: int) -> int:
     return max(1, _BLOCK_BYTES // (24 * n_qubits * 4**n_layers))
 
 
-def _scores(theta: np.ndarray, readout: int, X: np.ndarray) -> np.ndarray:
+def _scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Scores of a row block; theta is (layers, qubits).
 
     Every product and sum runs elementwise over the rows in a fixed order
@@ -249,8 +245,8 @@ def _scores(theta: np.ndarray, readout: int, X: np.ndarray) -> np.ndarray:
     """
     sites = _mps_layers(theta, X)[-1]
     env = _left_edge(sites.shape[1], len(X))
-    for q, site in enumerate(sites[:, None]):  # each site as a stack of one
-        env = _close(_absorb(env, site, [q <= readout]), site)
+    for site in sites[:, None]:  # each site as a stack of one
+        env = _close(_absorb(env, site), site)
     # the right edge is all ones: sum the environment over both bonds
     terms = env.reshape(-1, len(X))
     score = terms[0].copy()
@@ -259,7 +255,7 @@ def _scores(theta: np.ndarray, readout: int, X: np.ndarray) -> np.ndarray:
     return score
 
 
-def _grad(theta: np.ndarray, readout: int, X: np.ndarray, weight: np.ndarray, out: np.ndarray):
+def _grad(theta: np.ndarray, X: np.ndarray, weight: np.ndarray, out: np.ndarray):
     """Write weight * d score / d theta of each row into out, shape (layers, qubits, rows).
 
     score = sum left[l, l'] s_p site[l, p, r] site[l', p, r'] right[r, r']
@@ -286,11 +282,11 @@ def _grad(theta: np.ndarray, readout: int, X: np.ndarray, weight: np.ndarray, ou
         mirror = n_qubits - 1 - q  # the right sweep's site
         pair[0] = sites[q]
         pair[1] = sites[mirror].transpose(2, 1, 0, 3)
-        halves = _absorb(env, pair, [q <= readout, mirror <= readout])
+        halves = _absorb(env, pair)
         half[q] = halves[0]
         env = _close(halves, pair)
         right[mirror - 1] = env[1]
-    half[-1] = _absorb(env[:1], sites[-1:], [n_qubits - 1 <= readout])[0]
+    half[-1] = _absorb(env[:1], sites[-1:])[0]
     # d score / d site[q][a, p, b] = sum over r of half[q][a, p, r] right[q][b, r]
     d_sites = half[:, :, :, 0, None] * right[:, None, None, :, 0]
     for r in range(1, bond):
@@ -320,7 +316,7 @@ def qnn_scores(model: QnnModel, X: np.ndarray) -> np.ndarray:
     step = _block_rows(model.n_qubits, model.n_layers)
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], step):
-        out[start : start + step] = _scores(theta, model.readout_qubit, X[start : start + step])
+        out[start : start + step] = _scores(theta, X[start : start + step])
     return out
 
 
@@ -345,7 +341,7 @@ def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray) -> np.nd
     terms = np.empty(theta.shape + (X.shape[0],))
     for start in range(0, X.shape[0], step):
         rows = slice(start, start + step)
-        _grad(theta, model.readout_qubit, X[rows], weight[rows], terms[:, :, rows])
+        _grad(theta, X[rows], weight[rows], terms[:, :, rows])
     return terms.sum(axis=2).ravel()
 
 
@@ -382,7 +378,7 @@ def train_qnn(
 
 
 def save_qnn(model: QnnModel, path: str | Path) -> None:
-    """Text checkpoint: "qnn <qubits> <layers> <readout qubit>" header, then `params`."""
+    """Text checkpoint: "qnn <qubits> <layers> <readout = qubits - 1>" header, then `params`."""
     if model.params is None:
         raise ValueError("cannot checkpoint an uninitialized model")
     header = f"qnn {model.n_qubits} {model.n_layers} {model.readout_qubit}"
@@ -391,9 +387,9 @@ def save_qnn(model: QnnModel, path: str | Path) -> None:
 
 def load_qnn(path: str | Path) -> QnnModel:
     sizes, params = load_checkpoint(path, "qnn")
-    if len(sizes) != 3:
-        raise ValueError(f"{path}: expected 3 sizes (qubits, layers, readout qubit), found {sizes}")
+    if len(sizes) != 3 or sizes[2] != sizes[0] - 1:  # the readout is the last qubit
+        raise ValueError(f"{path}: expected sizes (qubits, layers, qubits - 1), found {sizes}")
     try:
-        return QnnModel(n_qubits=sizes[0], n_layers=sizes[1], params=params, readout_qubit=sizes[2])
+        return QnnModel(n_qubits=sizes[0], n_layers=sizes[1], params=params)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -17,19 +17,19 @@ import numpy as np
 GROUP = 4
 
 
-def chain_maps(n_qubits: int, readout: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def chain_maps(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index maps of the CNOT chain 0->1->...->n-1 and the readout it folds into.
 
     The chain sends basis state b to its prefix parities c (c_k = b_0 ^ ... ^ b_k).
     Returns (gather, scatter, sign): chained = state[:, gather] applies the chain,
-    state = chained[:, scatter] undoes it, and <Z_readout> after the chain is
-    sum(state**2 * sign) before it.
+    state = chained[:, scatter] undoes it, and <Z> on the last qubit after the
+    chain is sum(state**2 * sign) before it.
     """
     idx = np.arange(2**n_qubits)
     gather = idx ^ ((idx << 1) & (2**n_qubits - 1))
     scatter = np.empty_like(gather)
     scatter[gather] = idx
-    sign = 1.0 - 2.0 * ((scatter >> readout) & 1)
+    sign = 1.0 - 2.0 * ((scatter >> (n_qubits - 1)) & 1)
     return gather, scatter, sign
 
 
@@ -80,21 +80,21 @@ def _layer_grad(psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def scores(theta: np.ndarray, readout: int, X: np.ndarray) -> np.ndarray:
-    """<Z_readout> of every row of X."""
-    gather, _, sign = chain_maps(theta.shape[1], readout)
+def scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """<Z> on the last qubit for every row of X."""
+    gather, _, sign = chain_maps(theta.shape[1])
     psi = _forward(theta, X, gather)
     return np.sum(psi * psi * sign, axis=1)
 
 
-def grad(theta: np.ndarray, readout: int, X: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def grad(theta: np.ndarray, X: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """sum over rows of weight * d score / d theta, shape (layers, qubits).
 
     lam = weight * sign * psi is the adjoint of the final state; walking
     back one layer at a time, every qubit's derivative in that layer is
     <lam|J_q psi>, then RY(-theta) and the inverse chain step both back.
     """
-    gather, scatter, sign = chain_maps(theta.shape[1], readout)
+    gather, scatter, sign = chain_maps(theta.shape[1])
     psi = _forward(theta, X, gather)
     lam = psi * sign * weight[:, None]
     out = np.empty_like(theta)

@@ -298,6 +298,19 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     assert "stage 'load'" in capsys.readouterr().err
 
 
+# the overflow warnings are silenced, so the loss check is what refuses the run
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_run_fails_and_writes_no_report(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    write_labeled_csv(make_separable(200, 6, 3), path)
+    out = tmp_path / "out"
+    args = ["--data-path", str(path), "--output-dir", str(out), "--pca-components", "3"]
+    assert main(["run", *args, "--epochs", "1", "--learning-rate", "1e308"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: stage 'train-nn' failed: train loss is nan, not finite: the training diverged\n"
+    assert not out.exists()
+
+
 def test_report_rerender_matches_original(synth_csv, tmp_path):
     out = tmp_path / "out"
     args = [
@@ -808,6 +821,20 @@ def test_evaluate_truncated_checkpoint_names_file(synth_csv, tmp_path, capsys):
     assert main(["evaluate", "--checkpoint", str(checkpoint), "--input", str(reduced)]) == 1
     err = capsys.readouterr().err
     assert f"{checkpoint}: expected 6 parameters" in err and "found 2" in err
+
+
+def test_evaluate_refuses_a_readout_before_the_last_qubit(synth_csv, tmp_path, capsys):
+    reduced = tmp_path / "reduced.csv"
+    assert main(
+        ["preprocess", "--data-path", str(synth_csv), "--seed", "5",
+         "--pca-components", "2", "--output", str(reduced)]
+    ) == 0
+    checkpoint = tmp_path / "qnn_model.txt"
+    checkpoint.write_text("qnn 2 1 0\n0.5\n0.5\n")
+    assert main(["evaluate", "--checkpoint", str(checkpoint), "--input", str(reduced)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {checkpoint}: expected sizes (qubits, layers, qubits - 1), found [2, 1, 0]\n"
+    assert "confusion" not in out
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -112,6 +112,25 @@ def test_zero_epsilon_before_equals_after(synth_csv, tmp_path):
         assert report.confusions[f"{model}_clean"] == report.confusions[f"{model}_perturbed"]
 
 
+def test_the_attack_degrades_both_heads(tmp_path):
+    # accuracy before the attack, then after it at epsilon 0.3 and 1.0:
+    # nn 1.00, 0.94, 0.79 and qnn 0.97, 0.79, 0.54
+    path = tmp_path / "data.csv"
+    write_labeled_csv(make_separable(600, 12, 3), path)
+    accuracy = {}
+    for epsilon in ("0.3", "1.0"):
+        out = tmp_path / epsilon
+        assert main(["run", "--data-path", str(path), "--output-dir", str(out), "--seed", "0",
+                     "--pca-components", "4", "--epochs", "20", "--perturb-fraction", "1",
+                     "--epsilon", epsilon]) == 0  # fmt: skip
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        for head in ("nn", "qnn"):
+            accuracy.setdefault(head, [report["before"][head]["accuracy"]])
+            accuracy[head].append(report["after"][head]["accuracy"])
+    for head, (before, mild, strong) in accuracy.items():
+        assert before > mild > strong, (head, before, mild, strong)
+
+
 def test_report_tables_recomputable_from_confusions(synth_csv, tmp_path):
     report, _ = run_pipeline(quick_config(synth_csv, tmp_path / "out", epochs=6))
     for model in ("nn", "qnn"):
@@ -372,6 +391,15 @@ def test_one_epoch_steps_by_the_learning_rate_and_keeps_the_callers_model(head):
     assert 0.049 < step.max() <= 0.05
     scores = (score_fn(trained, train.values), score_fn(trained, val.values))
     assert history == [epoch_record(train, scores[0], val, scores[1])]
+
+
+@pytest.mark.parametrize("which", ["train", "validation"])
+def test_epoch_record_refuses_a_loss_that_is_not_finite(which):
+    data = FeatureMatrix(values=np.zeros((2, 1)), labels=np.array([1, -1]))
+    scores = {"train": np.zeros(2), "validation": np.zeros(2)}
+    scores[which] = np.array([-np.inf, 0.0])
+    with pytest.raises(ValueError, match=f"^{which} loss is inf, not finite"):
+        epoch_record(data, scores["train"], data, scores["validation"])
 
 
 def test_epoch_record_counts_a_zero_score_as_positive():

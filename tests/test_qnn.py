@@ -286,7 +286,7 @@ def test_gradient_over_a_batch_with_rows_on_the_margin(monkeypatch, block_bytes)
     assert np.all(scores[on_margin] == 1.0)
     assert np.all(np.abs(np.delete(scores, on_margin)) < 1.0)
     weight = hinge_weights(model, X, y)
-    expected = statevector.grad(np.zeros((2, 3)), 2, X, weight).ravel()
+    expected = statevector.grad(np.zeros((2, 3)), X, weight).ravel()
     assert np.max(np.abs(expected)) > 0.01
     assert np.max(np.abs(parameter_shift_grad(model, X, y) - expected)) <= 1e-13
 
@@ -302,13 +302,12 @@ def test_gradient_empty_batch_rejected():
 
 @st.composite
 def random_problems(draw):
-    """A model of width 1-8, 1-4 layers and any readout qubit, with a labelled batch."""
+    """A model of width 1-8 and 1-4 layers, with a labelled batch."""
     n = draw(st.integers(1, 8))
     layers = draw(st.integers(1, 4))
-    readout = draw(st.integers(0, n - 1))
     rows = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    model = QnnModel(n, layers, rng.uniform(-2 * np.pi, 2 * np.pi, n * layers), readout)
+    model = QnnModel(n, layers, rng.uniform(-2 * np.pi, 2 * np.pi, n * layers))
     X = rng.uniform(0, 1, size=(rows, n))
     y = rng.choice([-1, 1], size=rows)
     return model, X, y
@@ -359,18 +358,18 @@ def test_adjoint_gradient_matches_central_differences(problem):
 
 
 # the narrowest widths, where the stacked sweep of `_grad` has zero, one or
-# two steps, with the readout at either end
+# two steps, with two row seeds at widths 2 and 3
 @pytest.mark.parametrize("layers", [1, 2, 3])
-@pytest.mark.parametrize("n, readout", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)])
-def test_narrow_adjoint_gradient_matches_weighted_shift_rule(n, readout, layers):
-    model, X, y = wide_problem(n, layers, readout, rows=4)
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)])
+def test_narrow_adjoint_gradient_matches_weighted_shift_rule(n, seed, layers):
+    model, X, y = wide_problem(n, layers, seed, rows=4)
     weight = hinge_weights(model, X, y)
     assert np.any(weight)
     expected = sum(w * qnn_score_grad(model, x) for w, x in zip(weight, X) if w)
     assert np.max(np.abs(parameter_shift_grad(model, X, y) - expected)) <= 1e-12
 
 
-# widths past what `random_problems` draws, up to bond 8 (4 layers)
+# widths past what `random_problems` draws, up to bond 8 (4 layers): (n, layers, seed)
 WIDE_PROBLEMS = [
     (9, 1, 3),
     (9, 3, 0),
@@ -384,24 +383,24 @@ WIDE_PROBLEMS = [
 ]
 
 
-def wide_problem(n, layers, readout, rows=3):
-    rng = np.random.default_rng([n, layers, readout])
-    model = QnnModel(n, layers, rng.uniform(-2 * np.pi, 2 * np.pi, n * layers), readout)
+def wide_problem(n, layers, seed, rows=3):
+    rng = np.random.default_rng([n, layers, seed])
+    model = QnnModel(n, layers, rng.uniform(-2 * np.pi, 2 * np.pi, n * layers))
     X = rng.uniform(0, 1, size=(rows, n))
     y = rng.choice([-1, 1], size=rows)
     return model, X, y
 
 
-@pytest.mark.parametrize("n, layers, readout", WIDE_PROBLEMS)
-def test_wide_scores_match_gate_list_simulator(n, layers, readout):
-    model, X, _ = wide_problem(n, layers, readout)
-    slow = np.array([expectation_z(run_circuit(build_model_circuit(model, x)), readout) for x in X])
+@pytest.mark.parametrize("n, layers, seed", WIDE_PROBLEMS)
+def test_wide_scores_match_gate_list_simulator(n, layers, seed):
+    model, X, _ = wide_problem(n, layers, seed)
+    slow = np.array([expectation_z(run_circuit(build_model_circuit(model, x)), n - 1) for x in X])
     assert np.max(np.abs(qnn_scores(model, X) - slow)) <= 1e-12
 
 
-@pytest.mark.parametrize("n, layers, readout", WIDE_PROBLEMS)
-def test_wide_adjoint_gradient_matches_weighted_shift_rule(n, layers, readout):
-    model, X, y = wide_problem(n, layers, readout, rows=2)
+@pytest.mark.parametrize("n, layers, seed", WIDE_PROBLEMS)
+def test_wide_adjoint_gradient_matches_weighted_shift_rule(n, layers, seed):
+    model, X, y = wide_problem(n, layers, seed, rows=2)
     weight = hinge_weights(model, X, y)
     assert np.any(weight)
     expected = sum(w * qnn_score_grad(model, x) for w, x in zip(weight, X) if w)
@@ -419,7 +418,7 @@ for n, layers, rows in (
     (2, 1, 20000), (8, 2, 300), (12, 2, 70), (13, 2, 40), (2, 2, 20000), (8, 4, 300), (12, 5, 70)
 ):
     rng = np.random.default_rng(n)
-    model = QnnModel(n, layers, rng.uniform(0, np.pi, layers * n), n // 2)
+    model = QnnModel(n, layers, rng.uniform(0, np.pi, layers * n))
     X = rng.uniform(0, 1, size=(rows, n))
     y = rng.choice([-1, 1], size=rows)
     digest.update(qnn_scores(model, X).tobytes())
@@ -437,8 +436,7 @@ def test_kernel_bytes_do_not_depend_on_blas_threads():
 # --- against the test statevector ---------------------------------------------
 
 
-# 2 to 6 layers (bond 2 to 32), each with the first, a middle and the last
-# readout qubit
+# 2 to 6 layers (bond 2 to 32)
 @pytest.mark.parametrize(
     "n, layers", [(4, 2), (8, 3), (6, 2), (6, 3), (3, 3), (10, 3), (5, 5), (3, 6)]
 )
@@ -447,37 +445,30 @@ def test_mps_matches_statevector(n, layers):
     theta = rng.uniform(-2 * np.pi, 2 * np.pi, (layers, n))
     X = rng.uniform(0, 1, size=(40, n))
     weight = rng.uniform(-1, 1, 40)
-    for readout in sorted({0, n // 2, n - 1}):
-        expected = statevector.scores(theta, readout, X)
-        assert np.max(np.abs(_scores(theta, readout, X) - expected)) <= 1e-13
-        expected = statevector.grad(theta, readout, X, weight)
-        terms = np.empty((layers, n, len(X)))
-        _grad(theta, readout, X, weight, terms)
-        assert np.max(np.abs(terms.sum(axis=2) - expected)) <= 1e-13
+    assert np.max(np.abs(_scores(theta, X) - statevector.scores(theta, X))) <= 1e-13
+    terms = np.empty((layers, n, len(X)))
+    _grad(theta, X, weight, terms)
+    assert np.max(np.abs(terms.sum(axis=2) - statevector.grad(theta, X, weight))) <= 1e-13
 
 
-@pytest.mark.parametrize("layers", [1, 2, 3])
-@pytest.mark.parametrize("readout", [0, 3, 6])
-def test_light_cone_of_a_wide_model(layers, readout):
-    # the readout after `layers` chains depends on qubits 0 .. readout + layers - 1
-    # only, so a 40-qubit model scores like the model cut to that cone
-    n, cone = 40, readout + layers
-    rng = np.random.default_rng([layers, readout])
-    theta = rng.uniform(-2 * np.pi, 2 * np.pi, (layers, n))
-    wide = QnnModel(n, layers, theta.ravel(), readout)
-    narrow = QnnModel(cone, layers, theta[:, :cone].ravel(), readout)
+def test_forty_qubit_layer_matches_closed_form():
+    # Z on the last qubit after the chain is Z on every qubit before it, and
+    # one layer leaves a product state: score = prod over q of cos(pi x_q + theta_q)
+    n = 40
+    rng = np.random.default_rng(40)
+    model = QnnModel(n, 1, rng.uniform(-2 * np.pi, 2 * np.pi, n))
     X = rng.uniform(0, 1, size=(3, n))
-    y = rng.choice([-1, 1], size=3)
-    slow = np.array(
-        [expectation_z(run_circuit(build_model_circuit(narrow, x[:cone])), readout) for x in X]
-    )
-    assert np.max(np.abs(qnn_scores(wide, X) - slow)) <= 1e-12
-    weight = hinge_weights(narrow, X[:, :cone], y)
-    assert np.any(weight)
-    expected = sum(w * qnn_score_grad(narrow, x[:cone]) for w, x in zip(weight, X) if w)
-    grad = parameter_shift_grad(wide, X, y).reshape(layers, n)
-    assert np.max(np.abs(grad[:, :cone].ravel() - expected)) <= 1e-12
-    assert np.max(np.abs(grad[:, cone:])) <= 1e-15
+    y = np.array([1, -1, 1])
+    angles = np.pi * X + model.params
+    cos, sin = np.cos(angles), np.sin(angles)
+    closed = np.prod(cos, axis=1)
+    # scores near 1e-10: compare relative to the product's size
+    assert np.all(np.abs(qnn_scores(model, X) - closed) <= 1e-12 * np.abs(closed))
+    # d score / d theta_q = -sin_q * prod over the other qubits of cos
+    others = np.array([np.prod(np.delete(cos, q, axis=1), axis=1) for q in range(n)]).T
+    terms = hinge_weights(model, X, y)[:, None] * -sin * others
+    scale = np.abs(terms).sum(axis=0)
+    assert np.all(np.abs(parameter_shift_grad(model, X, y) - terms.sum(axis=0)) <= 1e-12 * scale)
 
 
 # --- Adam ---------------------------------------------------------------------
@@ -619,10 +610,13 @@ def test_checkpoint_round_trip(tmp_path):
     model = model_with(3, 2, seed=9)
     path = tmp_path / "qnn.txt"
     save_qnn(model, path)
+    # the third size names the readout, always the last qubit
+    assert path.read_text().splitlines()[0] == "qnn 3 2 2"
     again = load_qnn(path)
-    assert again.n_qubits == 3 and again.n_layers == 2
-    assert again.readout_qubit == model.readout_qubit
+    assert again.n_qubits == 3 and again.n_layers == 2 and again.readout_qubit == 2
     np.testing.assert_array_equal(again.params, model.params)
+    with pytest.raises(AttributeError):
+        again.readout_qubit = 0
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["truncated", "over-long"])
@@ -660,6 +654,7 @@ def test_checkpoint_non_finite_value_names_path_and_line(tmp_path, value, line):
         "qnn 2 x 1\n0\n0\n",
         "qnn \u00b2 1 0\n0\n0\n",  # a superscript two: a digit, but not a decimal one
         "qnn 2 1 5\n0\n0\n",
+        "qnn 2 1 0\n0\n0\n",  # a readout before the last qubit
         "qnn 1 1 0\nabc\n",
     ],
 )
