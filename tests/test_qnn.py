@@ -451,6 +451,36 @@ def test_mps_matches_statevector(n, layers):
     assert np.max(np.abs(terms.sum(axis=2) - statevector.grad(theta, X, weight))) <= 1e-13
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("extra", [0, 3, 6])
+def test_light_cone_of_a_wide_model(layers, extra):
+    # Z on the last qubit reaches back to every qubit, but a prefix with zero
+    # features and zero angles stays |0> and feeds the chain a zero carry, so a
+    # 40-qubit model scores like the model cut to its last `cone` qubits. Its
+    # angles have no gradient: a prefix qubit turned to |1> stays |1>, and the
+    # readout never flips it back.
+    n, cone = 40, extra + layers
+    rng = np.random.default_rng([layers, extra])
+    theta = rng.uniform(-2 * np.pi, 2 * np.pi, (layers, n))
+    theta[:, : n - cone] = 0.0
+    wide = QnnModel(n, layers, theta.ravel())
+    narrow = QnnModel(cone, layers, theta[:, n - cone :].ravel())
+    X = rng.uniform(0, 1, size=(3, n))
+    X[:, : n - cone] = 0.0
+    y = rng.choice([-1, 1], size=3)
+    cut = X[:, n - cone :]
+    slow = np.array(
+        [expectation_z(run_circuit(build_model_circuit(narrow, x)), cone - 1) for x in cut]
+    )
+    assert np.max(np.abs(qnn_scores(wide, X) - slow)) <= 1e-12
+    weight = hinge_weights(narrow, cut, y)
+    assert np.any(weight)
+    expected = sum(w * qnn_score_grad(narrow, x) for w, x in zip(weight, cut) if w)
+    grad = parameter_shift_grad(wide, X, y).reshape(layers, n)
+    assert np.max(np.abs(grad[:, n - cone :].ravel() - expected)) <= 1e-12
+    assert np.max(np.abs(grad[:, : n - cone])) <= 1e-15
+
+
 def test_forty_qubit_layer_matches_closed_form():
     # Z on the last qubit after the chain is Z on every qubit before it, and
     # one layer leaves a product state: score = prod over q of cos(pi x_q + theta_q)
