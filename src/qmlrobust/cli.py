@@ -229,7 +229,10 @@ def _cmd_evaluate(cfg: ExperimentConfig, args) -> None:
             f"checkpoint {args.checkpoint} takes {width} features, "
             f"but {args.input} has {data.n_features}"
         )
-    scores = score_fn(data.values)
+    try:
+        scores = score_fn(data.values)
+    except ValueError as exc:
+        raise ValueError(f"{args.checkpoint}: {exc}") from None
     cm = confusion(data.labels, scores)
     metrics = scalar_metrics(cm)
     print(f"confusion: tp={cm.tp} fp={cm.fp} fn={cm.fn} tn={cm.tn}")

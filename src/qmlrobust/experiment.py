@@ -352,7 +352,7 @@ def render_curve_svg(title: str, named_curves: list[tuple[str, Curve]]) -> str:
         # the same operations as sx/sy, one column at a time
         xs = _MARGIN_L + curve.points[:, 0] * plot_w
         ys = _MARGIN_T + (1.0 - curve.points[:, 1]) * plot_h
-        pts = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+        pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(np.column_stack([xs, ys]).ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * i}" font-size="11" '
@@ -400,7 +400,7 @@ def report_from_dict(payload: dict) -> Report:
 
 # a curve's points sit four levels deep in report.json: "curves" -> key ->
 # "points" -> [x, y], so with indent=2 a pair opens at 8 spaces
-_POINT_JSON = "        [\n          {!r},\n          {!r}\n        ]"
+_POINT_JSON = "        [\n          %r,\n          %r\n        ]"
 
 
 def save_report_json(report: Report, path: str | Path) -> None:
@@ -426,8 +426,9 @@ def save_report_json(report: Report, path: str | Path) -> None:
                 continue
             points = pending.pop()
             for start in range(0, len(points), CHUNK_ROWS):
-                x, y = points[start : start + CHUNK_ROWS].T.tolist()
-                fh.write((",\n" if start else "[\n") + ",\n".join(map(_POINT_JSON.format, x, y)))
+                chunk = points[start : start + CHUNK_ROWS]
+                text = ",\n".join([_POINT_JSON] * len(chunk)) % tuple(chunk.ravel().tolist())
+                fh.write((",\n" if start else "[\n") + text)
             fh.write("\n      ]" if len(points) else "[]")
         fh.write("\n")
 

@@ -137,5 +137,5 @@ def pr_curve(labels, scores) -> Curve:
 
 
 def write_curve_csv(curve: Curve, path: str | Path) -> None:
-    body = "".join(map("{:.17e},{:.17e}\n".format, *curve.points.T.tolist()))
+    body = ("%.17e,%.17e\n" * len(curve.points)) % tuple(curve.points.ravel().tolist())
     Path(path).write_text("x,y\n" + body, encoding="utf-8")

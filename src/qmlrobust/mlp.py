@@ -87,11 +87,13 @@ def _mask(sizes: list[int], n_rows: int) -> np.ndarray:
     return np.empty(n_rows * max(sizes[1:-1], default=0), dtype=bool)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _forward(model: MlpModel, hs: list[np.ndarray]) -> np.ndarray:
     """Fill hs[1:] of `_buffers` from hs[0] in place; returns the scores, a view of hs[-1].
 
     Each layer writes hs[l-1] @ W.T into hs[l], adds b and activates in place
     (rectifier on hidden layers, tanh on the output unit); hs[0] is never written to.
+    Overflow is silent: training refuses a non-finite loss, `mlp_scores` the batch.
     """
     layers = _layers(model.layer_sizes, model.params)
     for depth, (W, b) in enumerate(layers, start=1):
@@ -105,11 +107,15 @@ def _forward(model: MlpModel, hs: list[np.ndarray]) -> np.ndarray:
 
 
 def mlp_scores(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Batch scores in (-1, 1) for a (B, n_inputs) matrix."""
+    """Batch scores in (-1, 1) for a (B, n_inputs) matrix; refuses an overflowing batch."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_inputs:
         raise ValueError(f"expected (batch, {model.n_inputs}) features, got {X.shape}")
-    return _forward(model, _buffers(model.layer_sizes, X))
+    hs = _buffers(model.layer_sizes, X)
+    scores = _forward(model, hs)
+    if not np.isfinite(hs[-2]).all():
+        raise ValueError("the activations feeding the output unit are not all finite")
+    return scores
 
 
 def mlp_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -8,8 +8,10 @@ parameters drawn by `init_params`; `train_qnn` has the call shape of
 
 The kernel is an exact matrix product state in float64 (every gate of the
 model is real). Three facts shape it. The encoding RY(pi*x) and the
-layer-0 RY(theta) fuse into one rotation, so the state after layer 0 is a
-product state. The CNOT chain 0->1->...->n-1 sends basis state b to its
+layer-0 RY(theta) compose by the angle-sum identity into a product state,
+in which the data enter only through cos(pi*x/2) and sin(pi*x/2): a pair
+(`_half_angles`) computed once per run in training and once per call
+elsewhere. The CNOT chain 0->1->...->n-1 sends basis state b to its
 prefix parities c_j = b_0 ^ ... ^ b_j, a classical map with a one-bit
 carry. The last chain folds into the readout: Z on the last qubit after it
 is Z_0 Z_1 ... Z_(n-1) before it, a Z-string over every qubit.
@@ -148,9 +150,17 @@ def _ry(angles: np.ndarray) -> np.ndarray:
     return np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
 
 
-def _mps_layers(theta: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
+def _half_angles(X: np.ndarray) -> np.ndarray:
+    """cos(pi X / 2) and sin(pi X / 2) as one (2, qubits, rows) array: rows at unit stride."""
+    half = (math.pi / 2.0 * X).T.copy()
+    return np.stack([np.cos(half), np.sin(half)])
+
+
+def _mps_layers(theta: np.ndarray, pair: np.ndarray) -> list[np.ndarray]:
     """Site tensors of a row block after each layer, before that layer's chain.
 
+    Layer 0 is RY(theta_0) on the block's `_half_angles` pair (c, s), by the
+    angle-sum identity: (c cos(theta_0 / 2) - s sin(theta_0 / 2), s cos + c sin).
     layers[l] has shape (qubits, bond, 2, bond, rows) with bond 2**l: qubit
     q's tensor after layer l. The chain writes c_j = b_j ^ c_(j-1), so site
     j reads its old bit as c ^ p, with the incoming carry p joining its left
@@ -162,12 +172,9 @@ def _mps_layers(theta: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
     (`_left_edge`, and ones on the right) keep only p = 0 at site 0 and sum
     the last site's outgoing carry away.
     """
-    n_qubits, rows = X.shape[1], X.shape[0]
-    # transposed before cos and sin: each then runs over one qubit's rows at unit stride
-    half = ((math.pi * X + theta[0]) / 2.0).T.copy()
-    sites = np.empty((n_qubits, 1, 2, 1, rows))
-    np.cos(half, out=sites[:, 0, 0, 0])
-    np.sin(half, out=sites[:, 0, 1, 0])
+    (c, s), (n_qubits, rows) = pair, pair.shape[1:]
+    ry = _ry(theta[0])[..., None]  # (q, a, b, .)
+    sites = (ry[:, :, 0] * c[:, None] + ry[:, :, 1] * s[:, None])[:, None, :, None]
     layers = [sites]
     for angles in theta[1:]:
         ry = _ry(angles)[:, None, :, None, :, None]  # (q, ., a, ., c, .)
@@ -232,30 +239,31 @@ def _block_rows(n_qubits: int, n_layers: int) -> int:
     4**layers, and the gradient's left halves, right environments,
     site derivatives with their temporary and the moved tensors to about
     2 * 4**layers more: about 3 * 4**layers floats per site and row.
+    Not counted: the `_half_angles` pair, 16 bytes per site and row, held for the whole batch.
     """
     return max(1, _BLOCK_BYTES // (24 * n_qubits * 4**n_layers))
 
 
-def _scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Scores of a row block; theta is (layers, qubits).
+def _scores(theta: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Scores of a row block from its `_half_angles` pair; theta is (layers, qubits).
 
     Every product and sum runs elementwise over the rows in a fixed order
     (never a numpy reduction over a bond, whose order can change with the
     row count), so a row gets the same bits in any block.
     """
-    sites = _mps_layers(theta, X)[-1]
-    env = _left_edge(sites.shape[1], len(X))
+    sites = _mps_layers(theta, pair)[-1]
+    env = _left_edge(sites.shape[1], sites.shape[-1])
     for site in sites[:, None]:  # each site as a stack of one
         env = _close(_absorb(env, site), site)
     # the right edge is all ones: sum the environment over both bonds
-    terms = env.reshape(-1, len(X))
+    terms = env.reshape(-1, sites.shape[-1])
     score = terms[0].copy()
     for term in terms[1:]:
         score += term
     return score
 
 
-def _grad(theta: np.ndarray, X: np.ndarray, weight: np.ndarray, out: np.ndarray):
+def _grad(theta: np.ndarray, pair: np.ndarray, weight: np.ndarray, out: np.ndarray):
     """Write weight * d score / d theta of each row into out, shape (layers, qubits, rows).
 
     score = sum left[l, l'] s_p site[l, p, r] site[l', p, r'] right[r, r']
@@ -266,25 +274,25 @@ def _grad(theta: np.ndarray, X: np.ndarray, weight: np.ndarray, out: np.ndarray)
     step back through the layers together. As in `_scores`, the bonds are
     summed elementwise over the rows in a fixed order.
     """
-    layers = _mps_layers(theta, X)
+    layers = _mps_layers(theta, pair)
     sites = layers[-1]
-    n_qubits, bond = sites.shape[:2]
+    (n_qubits, bond), rows = sites.shape[:2], sites.shape[-1]
     half = np.empty_like(sites)  # half[q]: left environment of site q absorbed into it
-    right = np.empty((n_qubits, bond, bond, len(X)))  # right[q]: right of site q
+    right = np.empty((n_qubits, bond, bond, rows))  # right[q]: right of site q
     right[-1] = 2.0 * weight
     # one sweep runs both ways: stack slot 0 walks left to right over the
     # sites, slot 1 right to left over them mirrored (right bond first).
     # Each step copies its two sites into one small buffer; a stacked copy
     # of all sites would be a fresh allocation, faulted in on every call.
-    env = np.concatenate([_left_edge(bond, len(X)), right[-1:]])
-    pair = np.empty((2,) + sites.shape[1:])
+    env = np.concatenate([_left_edge(bond, rows), right[-1:]])
+    ends = np.empty((2,) + sites.shape[1:])
     for q in range(n_qubits - 1):
         mirror = n_qubits - 1 - q  # the right sweep's site
-        pair[0] = sites[q]
-        pair[1] = sites[mirror].transpose(2, 1, 0, 3)
-        halves = _absorb(env, pair)
+        ends[0] = sites[q]
+        ends[1] = sites[mirror].transpose(2, 1, 0, 3)
+        halves = _absorb(env, ends)
         half[q] = halves[0]
-        env = _close(halves, pair)
+        env = _close(halves, ends)
         right[mirror - 1] = env[1]
     half[-1] = _absorb(env[:1], sites[-1:])[0]
     # d score / d site[q][a, p, b] = sum over r of half[q][a, p, r] right[q][b, r]
@@ -292,11 +300,11 @@ def _grad(theta: np.ndarray, X: np.ndarray, weight: np.ndarray, out: np.ndarray)
     for r in range(1, bond):
         d_sites += half[:, :, :, r, None] * right[:, None, None, :, r]
     for layer in range(len(theta) - 1, -1, -1):
-        # d RY(t)/dt = J RY(t) / 2 with J = [[0, -1], [1, 0]]; the
-        # encoding's fused angle moves with theta[0] the same way
+        # d RY(t)/dt = J RY(t) / 2 with J = [[0, -1], [1, 0]], also for
+        # layer 0's RY(theta[0]) on the encoded qubit
         a = layers[layer]
         moved = d_sites[:, :, 1] * a[:, :, 0] - d_sites[:, :, 0] * a[:, :, 1]
-        moved = moved.reshape(n_qubits, -1, len(X))
+        moved = moved.reshape(n_qubits, -1, rows)
         np.copyto(out[layer], moved[:, 0])
         for j in range(1, moved.shape[1]):
             out[layer] += moved[:, j]
@@ -305,43 +313,48 @@ def _grad(theta: np.ndarray, X: np.ndarray, weight: np.ndarray, out: np.ndarray)
             d_sites = _chain_ry_adjoint(d_sites, theta[layer])
 
 
-def qnn_scores(model: QnnModel, X: np.ndarray) -> np.ndarray:
-    """Batch scores for a (B, n_qubits) feature matrix."""
+def qnn_scores(model: QnnModel, X: np.ndarray, *, half_angles=None) -> np.ndarray:
+    """Batch scores for a (B, n_qubits) feature matrix, from its `_half_angles` if given."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_qubits:
         raise ValueError(f"expected (batch, {model.n_qubits}) features, got {X.shape}")
     if model.params is None:
         raise ValueError("model has no parameters; draw them with init_params")
+    pair = _half_angles(X) if half_angles is None else half_angles
+    if pair.shape != (2, model.n_qubits, len(X)):
+        raise ValueError(f"expected (2, {model.n_qubits}, {len(X)}) half angles, got {pair.shape}")
     theta = model.params.reshape(model.n_layers, model.n_qubits)
     step = _block_rows(model.n_qubits, model.n_layers)
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], step):
-        out[start : start + step] = _scores(theta, X[start : start + step])
+        out[start : start + step] = _scores(theta, pair[:, :, start : start + step])
     return out
 
 
-def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray, *, half_angles=None):
     """Gradient of the mean hinge loss over a batch, computed by adjoint differentiation.
 
     A sample's hinge weight is -y/n strictly inside the margin and 0
     otherwise (subgradient 0 exactly at the kink), as in `mlp._backprop`,
-    from one `qnn_scores` call. The adjoint sweep (`_grad`) gives every
-    row's layer x qubit derivative of its weighted score, over the row
-    blocks `qnn_scores` walks, and one sum over all rows adds them up, so
-    the block size does not move the bits. The result equals the exact
+    from one `qnn_scores` call that checks the `_half_angles` pair (given,
+    or computed here). The adjoint sweep (`_grad`) gives every row's layer
+    x qubit derivative of its weighted score, over the row blocks
+    `qnn_scores` walks, and one sum over all rows adds them up, so the
+    block size does not move the bits. The result equals the exact
     two-point parameter shift on `build_model_circuit` weighted by the hinge.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    weight = hinge_weights(y, qnn_scores(model, X))
+    pair = _half_angles(X) if half_angles is None else half_angles
+    weight = hinge_weights(y, qnn_scores(model, X, half_angles=pair))
     theta = model.params.reshape(model.n_layers, model.n_qubits)
     step = _block_rows(model.n_qubits, model.n_layers)
     terms = np.empty(theta.shape + (X.shape[0],))
     for start in range(0, X.shape[0], step):
         rows = slice(start, start + step)
-        _grad(theta, X[rows], weight[rows], terms[:, :, rows])
+        _grad(theta, pair[:, :, rows], weight[rows], terms[:, :, rows])
     return terms.sum(axis=2).ravel()
 
 
@@ -355,10 +368,11 @@ def train_qnn(
     """Full-batch Adam from the model's parameters; one history record per epoch.
 
     After each step one `qnn_scores` call scores the train and validation
-    rows together, stacked once up front: a row scores bit-identically in
-    any row block, so the record is the one two calls would give. The
-    caller's model is left unchanged. A model without parameters is
-    refused by the first `qnn_scores` call, with a ValueError.
+    rows together, stacked and turned into `_half_angles` once up front: a
+    row scores bit-identically in any row block, so the record is the one
+    two calls would give. The caller's model is left unchanged. A model
+    without parameters is refused by the first `qnn_scores` call, with a
+    ValueError.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -366,13 +380,14 @@ def train_qnn(
         raise ValueError("train and validation sets must be non-empty")
     adam = AdamState.fresh(model.n_params, learning_rate)
     both, n = np.concatenate([train.values, val.values]), train.n_samples
+    pair = _half_angles(both)
 
     history: list[EpochRecord] = []
     for _ in range(epochs):
-        grads = parameter_shift_grad(model, train.values, train.labels)
+        grads = parameter_shift_grad(model, train.values, train.labels, half_angles=pair[:, :, :n])
         adam, new_params = adam_step(adam, model.params, grads)
         model = replace(model, params=new_params)
-        scores = qnn_scores(model, both)
+        scores = qnn_scores(model, both, half_angles=pair)
         history.append(epoch_record(train, scores[:n], val, scores[n:]))
     return model, history
 

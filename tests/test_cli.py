@@ -298,8 +298,6 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     assert "stage 'load'" in capsys.readouterr().err
 
 
-# the overflow warnings are silenced, so the loss check is what refuses the run
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_diverging_run_fails_and_writes_no_report(tmp_path, capsys):
     path = tmp_path / "data.csv"
     write_labeled_csv(make_separable(200, 6, 3), path)
@@ -851,6 +849,22 @@ def test_evaluate_non_finite_checkpoint_names_file_and_line(synth_csv, tmp_path,
     out, err = capsys.readouterr()
     assert f"{checkpoint}:3: parameter must be finite, found {value!r}" in err
     assert "confusion" not in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_refuses_an_overflowing_mlp_checkpoint(synth_csv, tmp_path, capsys):
+    # finite weights whose hidden activations overflow to inf: every row would score +1
+    reduced = tmp_path / "reduced.csv"
+    assert main(
+        ["preprocess", "--data-path", str(synth_csv), "--seed", "5",
+         "--pca-components", "4", "--output", str(reduced)]
+    ) == 0
+    capsys.readouterr()
+    checkpoint = tmp_path / "nn_model.txt"
+    checkpoint.write_text("mlp 4 32 16 1\n" + "1e300\n" * (4 * 32 + 32 + 32 * 16 + 16 + 16 + 1))
+    assert main(["evaluate", "--checkpoint", str(checkpoint), "--input", str(reduced)]) == 1
+    message = "the activations feeding the output unit are not all finite"
+    assert capsys.readouterr() == ("", f"error: {checkpoint}: {message}\n")
 
 
 def test_evaluate_width_mismatch_names_both_files(synth_csv, tmp_path, capsys):

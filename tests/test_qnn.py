@@ -15,6 +15,7 @@ from qmlrobust.qnn import (
     QnnModel,
     _block_rows,
     _grad,
+    _half_angles,
     _scores,
     build_model_circuit,
     init_params,
@@ -172,6 +173,28 @@ def test_scores_do_not_depend_on_row_blocks():
         assert _block_rows(n, layers) < len(X)
         pieces = [qnn_scores(model, X[a:b]) for a, b in ((0, 1), (1, 77), (77, 150))]
         np.testing.assert_array_equal(qnn_scores(model, X), np.concatenate(pieces))
+
+
+@pytest.mark.parametrize("n, layers", [(2, 1), (8, 2), (16, 3)])
+def test_given_half_angles_change_no_bit(n, layers):
+    # (16, 3) spans two row blocks
+    rng = np.random.default_rng([n, layers, 1])
+    model = model_with(n, layers, seed=5)
+    X, y = rng.uniform(0, 1, size=(150, n)), rng.choice([-1, 1], 150)
+    pair = _half_angles(X)
+    assert qnn_scores(model, X, half_angles=pair).tobytes() == qnn_scores(model, X).tobytes()
+    given = parameter_shift_grad(model, X, y, half_angles=pair)
+    assert given.tobytes() == parameter_shift_grad(model, X, y).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 9), (2, 9, 3), (1, 3, 10), (2, 3, 10, 1)])
+def test_half_angles_of_the_wrong_shape_are_refused(shape):
+    model = model_with(3, 2)
+    X, y, pair = np.full((10, 3), 0.5), np.ones(10), np.zeros(shape)
+    with pytest.raises(ValueError, match=r"expected \(2, 3, 10\) half angles"):
+        qnn_scores(model, X, half_angles=pair)
+    with pytest.raises(ValueError, match=r"expected \(2, 3, 10\) half angles"):
+        parameter_shift_grad(model, X, y, half_angles=pair)
 
 
 @settings(max_examples=30, deadline=None)
@@ -445,9 +468,9 @@ def test_mps_matches_statevector(n, layers):
     theta = rng.uniform(-2 * np.pi, 2 * np.pi, (layers, n))
     X = rng.uniform(0, 1, size=(40, n))
     weight = rng.uniform(-1, 1, 40)
-    assert np.max(np.abs(_scores(theta, X) - statevector.scores(theta, X))) <= 1e-13
+    assert np.max(np.abs(_scores(theta, _half_angles(X)) - statevector.scores(theta, X))) <= 1e-13
     terms = np.empty((layers, n, len(X)))
-    _grad(theta, X, weight, terms)
+    _grad(theta, _half_angles(X), weight, terms)
     assert np.max(np.abs(terms.sum(axis=2) - statevector.grad(theta, X, weight))) <= 1e-13
 
 
@@ -619,6 +642,22 @@ def test_training_matches_separate_score_calls_bit_for_bit(n, layers, n_train, n
     expected, expected_history = train_with_separate_score_calls(model, train, val, epochs)
     assert trained.params.tobytes() == expected.params.tobytes()
     assert history == expected_history
+
+
+def test_training_computes_the_half_angles_once(monkeypatch):
+    calls = []
+
+    def counted(X):
+        calls.append(X.shape)
+        return _half_angles(X)
+
+    monkeypatch.setattr(qmlrobust.qnn, "_half_angles", counted)
+    rng = np.random.default_rng(2)
+    train = FeatureMatrix(rng.uniform(0, 1, (30, 2)), rng.choice([-1, 1], 30))
+    val = FeatureMatrix(rng.uniform(0, 1, (10, 2)), rng.choice([-1, 1], 10))
+    model = QnnModel(2, 1)
+    train_qnn(replace(model, params=init_params(model, seed=3)), train, val, epochs=3)
+    assert calls == [(40, 2)]
 
 
 def test_training_deterministic_given_seed():
