@@ -112,6 +112,8 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header line") from None
         header = [name.strip() for name in header]
+        if label_column not in header:
+            raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
         width = len(header)
         columns = [np.empty(capacity) for _ in header]
         n_rows = 0
@@ -142,8 +144,6 @@ def load_csv(path: str | Path, label_column: str) -> RawDataset:
                 )
     if n_rows == 0:
         raise ValueError(f"{path}: no samples (header only)")
-    if label_column not in header:
-        raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
     columns = [col[:n_rows] for col in columns]  # the filled prefix
     return RawDataset(column_names=header, columns=columns, label_column=label_column)
 

@@ -32,10 +32,8 @@ and the left halves of the score give d score / d tensor for every site;
 stepping those back through the layers (the adjoint of RY, then of the
 index copy) gives every angle's derivative: the adjoint method of Jones &
 Gacon (arXiv:2009.02823) on tensors, about three score passes. The right
-sweep is the left one on the mirrored chain, so both run as one sweep over
-a stack of two, with the same products and sums per element in the same
-order: k - 1 steps and one absorb where two sweeps took 2k - 1 steps,
-for the same bits.
+sweep is the left one on the mirrored chain: each site with its two bonds
+swapped, through the same `_absorb` and `_close`.
 
 Two passes stay duplicated. `parameter_shift_grad` scores the batch for
 its hinge weights, although `train_qnn` scored the same rows with the same
@@ -43,17 +41,22 @@ parameters after the step before; the benchmark's tracer reads the active
 fraction off that nested `qnn_scores` call. And `_grad` sweeps the same
 row blocks again, because `qnn_scores` returns only the scores.
 
-Every product and sum runs elementwise over the rows, with no BLAS call,
-because numpy pays one BLAS call per tiny 2 x 2 or 4 x 4 matrix. A score
-costs about n * 8**(layers - 1) operations per row where a statevector
-costs layers * 2**n, so the MPS wins at every width with 1 or 2 layers (it
-makes 32 qubits cheap) and loses on deep circuits: the bond is not capped,
-and at 8 qubits with 6 layers `qnn_scores` plus `parameter_shift_grad` of
-200 uniform rows took 3.3 s against 18 ms for the float64 statevector in
+Each contraction is one einsum at numpy's default `optimize=False`, which
+never calls BLAS (numpy would pay one call per tiny 2 x 2 or 4 x 4 matrix)
+and adds each output element's terms in bond order as long as no summed
+bond is an operand's innermost axis. Rows are last and the operands
+contiguous, so a row gets the same bits in any block; the sums whose bond
+is innermost in a one-row block (the site derivatives, each layer's angle
+sum, the score's last sum) stay elementwise loops. A score costs about
+n * 8**(layers - 1) operations per row where a statevector costs
+layers * 2**n, so the MPS wins at every width with 1 or 2 layers (it makes
+32 qubits cheap) and loses on deep circuits: the bond is not capped, and at
+8 qubits with 6 layers `qnn_scores` plus `parameter_shift_grad` of 200
+uniform rows took 3.0 s against 18 ms for the float64 statevector in
 tests/statevector.py (best of 2 and of 20 runs at one OpenBLAS thread,
-2-core Xeon; ROADMAP item 6 tracks the fix). The kernel runs in row
-blocks whose gradient arrays total about `_BLOCK_BYTES`, so a wide model
-stays in bounded memory. A row's score and gradient term have the same bits in any
+2-core Xeon; ROADMAP item 6 tracks the fix). The kernel runs in row blocks
+whose gradient arrays total about `_BLOCK_BYTES`, so a wide model stays in
+bounded memory. A row's score and gradient term have the same bits in any
 block, and `parameter_shift_grad` sums the terms of all rows at once.
 
 `build_model_circuit` alone spells out the model's gates as a gate list,
@@ -203,32 +206,22 @@ def _chain_ry_adjoint(grad: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
 
 def _left_edge(bond: int, rows: int) -> np.ndarray:
-    """Environment left of site 0, a stack of one: only bond index 0 (no incoming carry) is live."""
-    env = np.zeros((1, bond, bond, rows))
-    env[0, 0, 0] = 1.0
+    """Environment left of site 0: only bond index 0 (no incoming carry) is live."""
+    env = np.zeros((bond, bond, rows))
+    env[0, 0] = 1.0
     return env
 
 
 def _absorb(env: np.ndarray, site: np.ndarray) -> np.ndarray:
-    """half[s, l', p, r] = sum over l of env[s, l, l'] s_p site[s, l, p, r], s = (1, -1).
-
-    The leading axis stacks independent sweeps.
-    """
-    half = env[:, 0, :, None, None] * site[:, 0, None]
-    for l in range(1, env.shape[1]):
-        half += env[:, l, :, None, None] * site[:, l, None]
-    half[:, :, 1] *= -1.0
+    """half[l', p, r] = sum over l of env[l, l'] s_p site[l, p, r], s = (1, -1)."""
+    half = np.einsum("lmn,lprn->mprn", env, site)
+    half[:, 1] *= -1.0
     return half
 
 
 def _close(half: np.ndarray, site: np.ndarray) -> np.ndarray:
-    """out[s, r, r'] = sum over l', p of half[s, l', p, r] site[s, l', p, r']."""
-    out = half[:, 0, 0, :, None] * site[:, 0, 0, None]
-    for l in range(half.shape[1]):
-        for p in range(2):
-            if l or p:
-                out += half[:, l, p, :, None] * site[:, l, p, None]
-    return out
+    """out[r, r'] = sum over l', p of half[l', p, r] site[l', p, r']."""
+    return np.einsum("lprn,lpsn->rsn", half, site)
 
 
 def _block_rows(n_qubits: int, n_layers: int) -> int:
@@ -247,13 +240,14 @@ def _block_rows(n_qubits: int, n_layers: int) -> int:
 def _scores(theta: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """Scores of a row block from its `_half_angles` pair; theta is (layers, qubits).
 
-    Every product and sum runs elementwise over the rows in a fixed order
-    (never a numpy reduction over a bond, whose order can change with the
-    row count), so a row gets the same bits in any block.
+    An einsum (default `optimize=False`, no BLAS) adds each output
+    element's terms in bond order when no summed bond is an operand's
+    innermost axis. Rows are last, so a row gets the same bits in any
+    block; the final sum over the bonds stays an elementwise loop.
     """
     sites = _mps_layers(theta, pair)[-1]
     env = _left_edge(sites.shape[1], sites.shape[-1])
-    for site in sites[:, None]:  # each site as a stack of one
+    for site in sites:
         env = _close(_absorb(env, site), site)
     # the right edge is all ones: sum the environment over both bonds
     terms = env.reshape(-1, sites.shape[-1])
@@ -271,30 +265,27 @@ def _grad(theta: np.ndarray, pair: np.ndarray, weight: np.ndarray, out: np.ndarr
     2 (left s site right). Seeding the right edge with 2 * weight makes
     it the weighted derivative directly. Each site's final tensor depends
     only on its own feature and angles, so the derivatives of all sites
-    step back through the layers together. As in `_scores`, the bonds are
-    summed elementwise over the rows in a fixed order.
+    step back through the layers together. The bonds are summed by
+    `_scores`' rule, in loops where a one-row block leaves a bond innermost.
     """
     layers = _mps_layers(theta, pair)
     sites = layers[-1]
     (n_qubits, bond), rows = sites.shape[:2], sites.shape[-1]
     half = np.empty_like(sites)  # half[q]: left environment of site q absorbed into it
     right = np.empty((n_qubits, bond, bond, rows))  # right[q]: right of site q
-    right[-1] = 2.0 * weight
-    # one sweep runs both ways: stack slot 0 walks left to right over the
-    # sites, slot 1 right to left over them mirrored (right bond first).
-    # Each step copies its two sites into one small buffer; a stacked copy
-    # of all sites would be a fresh allocation, faulted in on every call.
-    env = np.concatenate([_left_edge(bond, rows), right[-1:]])
-    ends = np.empty((2,) + sites.shape[1:])
+    env = _left_edge(bond, rows)
     for q in range(n_qubits - 1):
-        mirror = n_qubits - 1 - q  # the right sweep's site
-        ends[0] = sites[q]
-        ends[1] = sites[mirror].transpose(2, 1, 0, 3)
-        halves = _absorb(env, ends)
-        half[q] = halves[0]
-        env = _close(halves, ends)
-        right[mirror - 1] = env[1]
-    half[-1] = _absorb(env[:1], sites[-1:])[0]
+        half[q] = _absorb(env, sites[q])
+        env = _close(half[q], sites[q])
+    half[-1] = _absorb(env, sites[-1])
+    # the right sweep is the left one on each site mirrored (right bond
+    # first), copied into one buffer: a transposed view would let einsum sum
+    # in another order, and a fresh copy per site grows the heap
+    right[-1] = 2.0 * weight
+    mirror = np.empty_like(sites[0])
+    for q in range(n_qubits - 1, 0, -1):
+        mirror[...] = sites[q].transpose(2, 1, 0, 3)
+        right[q - 1] = _close(_absorb(right[q], mirror), mirror)
     # d score / d site[q][a, p, b] = sum over r of half[q][a, p, r] right[q][b, r]
     d_sites = half[:, :, :, 0, None] * right[:, None, None, :, 0]
     for r in range(1, bond):

@@ -42,6 +42,8 @@ def reference_load(path, label_column):
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header line") from None
         header = [name.strip() for name in header]
+        if label_column not in header:
+            raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
         rows = []
         for record in reader:
             lineno = reader.line_num
@@ -54,8 +56,6 @@ def reference_load(path, label_column):
             rows.append([reference_cell(cell, path, lineno) for cell in record])
     if not rows:
         raise ValueError(f"{path}: no samples (header only)")
-    if label_column not in header:
-        raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
     return header, rows
 
 

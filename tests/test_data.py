@@ -76,6 +76,18 @@ def test_load_absent_label_column(tmp_path):
         load_csv(path, "class")
 
 
+def test_absent_label_column_is_refused_at_the_header(tmp_path):
+    # refused before any record is parsed: the bad record on line 2 is never read
+    path = write(tmp_path, "a,b\n1\n")
+    with pytest.raises(ValueError) as refused:
+        load_csv(path, "class")
+    assert str(refused.value) == f"{path}: label column 'class' not in header ['a', 'b']"
+    # a header-only file whose label column is present has no samples
+    path = write(tmp_path, "a,class\n")
+    with pytest.raises(ValueError, match=r"data.csv: no samples \(header only\)$"):
+        load_csv(path, "class")
+
+
 def test_load_empty_cell_is_error(tmp_path):
     path = write(tmp_path, "a,b,class\n1,,0\n")
     with pytest.raises(ValueError, match="empty cell"):

@@ -154,7 +154,10 @@ def test_forward_scores_bounded():
 
 
 def test_batch_scores_match_single_forward():
-    # 8 x 3 has bond 4, so its sums run over eight terms; 4 x 4 has bond 8
+    # 8 x 3 has bond 4, so its sums run over eight terms; 4 x 4 has bond 8.
+    # The gradient's terms must match one row at a time too: in a one-row
+    # block a bond can become the innermost axis, where numpy may sum in
+    # another order, and a non-contiguous operand can reorder einsum's loops
     for n, layers in ((4, 2), (8, 2), (8, 3), (4, 4)):
         rng = np.random.default_rng(4)
         model = model_with(n, layers, seed=8)
@@ -162,6 +165,12 @@ def test_batch_scores_match_single_forward():
         batch = qnn_scores(model, X)
         singles = np.array([qnn_scores(model, x[None, :])[0] for x in X])
         np.testing.assert_array_equal(batch, singles)
+        theta, pair, weight = model.params.reshape(layers, n), _half_angles(X), rng.uniform(-1, 1, 9)
+        terms, single_terms = np.empty((2, layers, n, 9))
+        _grad(theta, pair, weight, terms)
+        for i in range(9):
+            _grad(theta, pair[:, :, i : i + 1], weight[i : i + 1], single_terms[:, :, i : i + 1])
+        assert terms.tobytes() == single_terms.tobytes()
 
 
 def test_scores_do_not_depend_on_row_blocks():
