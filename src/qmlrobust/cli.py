@@ -231,7 +231,7 @@ def _cmd_evaluate(cfg: ExperimentConfig, args) -> None:
         )
     try:
         scores = score_fn(data.values)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValueError(f"{args.checkpoint}: {exc}") from None
     cm = confusion(data.labels, scores)
     metrics = scalar_metrics(cm)

@@ -41,13 +41,14 @@ parameters after the step before; the benchmark's tracer reads the active
 fraction off that nested `qnn_scores` call. And `_grad` sweeps the same
 row blocks again, because `qnn_scores` returns only the scores.
 
-Each contraction is one einsum at numpy's default `optimize=False`, which
-never calls BLAS (numpy would pay one call per tiny 2 x 2 or 4 x 4 matrix)
-and adds each output element's terms in bond order as long as no summed
-bond is an operand's innermost axis. Rows are last and the operands
-contiguous, so a row gets the same bits in any block; the sums whose bond
-is innermost in a one-row block (the site derivatives, each layer's angle
-sum, the score's last sum) stay elementwise loops. A score costs about
+Each contraction and each bond sum is one numpy call. einsum at its
+default `optimize=False` never calls BLAS (numpy would pay one call per
+tiny 2 x 2 or 4 x 4 matrix), and it and `sum` add each output element's
+terms in bond order as long as no summed bond is an operand's innermost
+axis. One rule keeps that so, and with it a row's bits the same in any
+block: rows are last, a block holds at least two of them (a one-row block
+is computed as two copies of its row), and the chain step writes its
+output in C order. A score costs about
 n * 8**(layers - 1) operations per row where a statevector costs
 layers * 2**n, so the MPS wins at every width with 1 or 2 layers (it makes
 32 qubits cheap) and loses on deep circuits: the bond is not capped, and at
@@ -170,8 +171,8 @@ def _mps_layers(theta: np.ndarray, pair: np.ndarray) -> list[np.ndarray]:
     bond and the outgoing carry c its right one:
     new[(l, p), c, (r, c)] = old[l, c ^ p, r], and after RY,
     new[(l, p), a, (r, c)] = ry[a, c] * old[l, c ^ p, r]. Every site gets
-    both carries, so all sites share one shape and each step is two
-    elementwise products over all of them, one per p; the edge environments
+    both carries, so all sites share one shape and each step is one
+    elementwise einsum over all of them and both p; the edge environments
     (`_left_edge`, and ones on the right) keep only p = 0 at site 0 and sum
     the last site's outgoing carry away.
     """
@@ -180,29 +181,24 @@ def _mps_layers(theta: np.ndarray, pair: np.ndarray) -> list[np.ndarray]:
     sites = (ry[:, :, 0] * c[:, None] + ry[:, :, 1] * s[:, None])[:, None, :, None]
     layers = [sites]
     for angles in theta[1:]:
-        ry = _ry(angles)[:, None, :, None, :, None]  # (q, ., a, ., c, .)
         bond = sites.shape[1]
-        out = np.empty((n_qubits, bond, 2, 2, bond, 2, rows))
-        # old[c ^ p] is old[c] for p = 0 and old[1 - c] for p = 1, a view either way
-        for p, old in enumerate((sites, sites[:, :, ::-1])):
-            np.multiply(ry, old.transpose(0, 1, 3, 2, 4)[:, :, None], out=out[:, :, p])
-        sites = out.reshape(n_qubits, 2 * bond, 2, 2 * bond, rows)
+        old = np.stack([sites, sites[:, :, ::-1]], axis=2)  # old[q, l, p, c] = sites[q, l, c ^ p]
+        # C order: the next contraction walks the bonds in the order it sums them
+        new = np.einsum("qac,qlpcrn->qlparcn", _ry(angles), old, order="C")
+        sites = new.reshape(n_qubits, 2 * bond, 2, 2 * bond, rows)
         layers.append(sites)
     return layers
 
 
 def _chain_ry_adjoint(grad: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """d/d old from d/d new of one `_mps_layers` step: RY transposed, the copy summed back."""
-    ry = _ry(angles)[:, :, None, :, None, None]  # (q, a, ., c, ., .)
+    """d/d old from d/d new of one `_mps_layers` step: RY transposed, the copy summed back.
+
+    t[p] is the derivative of old[c ^ p], so the carry p = 1 adds in mirrored.
+    """
     n_qubits, bond, _, _, rows = grad.shape
-    bond //= 2
-    # (q, l, p, a, c, r, rows): c next to the old physical index it came from
-    grad = grad.reshape(n_qubits, bond, 2, 2, bond, 2, rows).transpose(0, 1, 2, 3, 5, 4, 6)
-    out = np.zeros((n_qubits, bond, 2, bond, rows))
-    # new carry c came from old index c ^ p: out[c] for p = 0, out[1 - c] for p = 1
-    for p, dest in enumerate((out, out[:, :, ::-1])):
-        dest += ry[:, 0] * grad[:, :, p, 0] + ry[:, 1] * grad[:, :, p, 1]
-    return out
+    grad = grad.reshape(n_qubits, bond // 2, 2, 2, bond // 2, 2, rows)
+    t = np.einsum("qac,qlparcn->pqlcrn", _ry(angles), grad)
+    return t[0] + t[1][:, :, ::-1]
 
 
 def _left_edge(bond: int, rows: int) -> np.ndarray:
@@ -233,6 +229,7 @@ def _block_rows(n_qubits: int, n_layers: int) -> int:
     site derivatives with their temporary and the moved tensors to about
     2 * 4**layers more: about 3 * 4**layers floats per site and row.
     Not counted: the `_half_angles` pair, 16 bytes per site and row, held for the whole batch.
+    A one-row block is computed as two rows, so at a floor of 1 it allocates twice the budget.
     """
     return max(1, _BLOCK_BYTES // (24 * n_qubits * 4**n_layers))
 
@@ -240,34 +237,31 @@ def _block_rows(n_qubits: int, n_layers: int) -> int:
 def _scores(theta: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """Scores of a row block from its `_half_angles` pair; theta is (layers, qubits).
 
-    An einsum (default `optimize=False`, no BLAS) adds each output
-    element's terms in bond order when no summed bond is an operand's
-    innermost axis. Rows are last, so a row gets the same bits in any
-    block; the final sum over the bonds stays an elementwise loop.
+    A one-row block is scored as two copies of its row (module docstring).
     """
+    if pair.shape[-1] == 1:
+        return _scores(theta, pair[..., [0, 0]])[:1]
     sites = _mps_layers(theta, pair)[-1]
     env = _left_edge(sites.shape[1], sites.shape[-1])
     for site in sites:
         env = _close(_absorb(env, site), site)
     # the right edge is all ones: sum the environment over both bonds
-    terms = env.reshape(-1, sites.shape[-1])
-    score = terms[0].copy()
-    for term in terms[1:]:
-        score += term
-    return score
+    return env.reshape(-1, sites.shape[-1]).sum(axis=0)
 
 
-def _grad(theta: np.ndarray, pair: np.ndarray, weight: np.ndarray, out: np.ndarray):
-    """Write weight * d score / d theta of each row into out, shape (layers, qubits, rows).
+def _grad(theta: np.ndarray, pair: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """weight * d score / d theta of each row in a block, shape (layers, qubits, rows).
 
     score = sum left[l, l'] s_p site[l, p, r] site[l', p, r'] right[r, r']
     at every site, with symmetric environments, so d score / d site is
     2 (left s site right). Seeding the right edge with 2 * weight makes
     it the weighted derivative directly. Each site's final tensor depends
     only on its own feature and angles, so the derivatives of all sites
-    step back through the layers together. The bonds are summed by
-    `_scores`' rule, in loops where a one-row block leaves a bond innermost.
+    step back through the layers together. A one-row block is computed as
+    two copies of its row (module docstring).
     """
+    if pair.shape[-1] == 1:
+        return _grad(theta, pair[..., [0, 0]], weight[[0, 0]])[..., :1]
     layers = _mps_layers(theta, pair)
     sites = layers[-1]
     (n_qubits, bond), rows = sites.shape[:2], sites.shape[-1]
@@ -287,21 +281,17 @@ def _grad(theta: np.ndarray, pair: np.ndarray, weight: np.ndarray, out: np.ndarr
         mirror[...] = sites[q].transpose(2, 1, 0, 3)
         right[q - 1] = _close(_absorb(right[q], mirror), mirror)
     # d score / d site[q][a, p, b] = sum over r of half[q][a, p, r] right[q][b, r]
-    d_sites = half[:, :, :, 0, None] * right[:, None, None, :, 0]
-    for r in range(1, bond):
-        d_sites += half[:, :, :, r, None] * right[:, None, None, :, r]
+    d_sites = np.einsum("qaprn,qbrn->qapbn", half, right)
+    out = np.empty(theta.shape + (rows,))
     for layer in range(len(theta) - 1, -1, -1):
         # d RY(t)/dt = J RY(t) / 2 with J = [[0, -1], [1, 0]], also for
         # layer 0's RY(theta[0]) on the encoded qubit
         a = layers[layer]
         moved = d_sites[:, :, 1] * a[:, :, 0] - d_sites[:, :, 0] * a[:, :, 1]
-        moved = moved.reshape(n_qubits, -1, rows)
-        np.copyto(out[layer], moved[:, 0])
-        for j in range(1, moved.shape[1]):
-            out[layer] += moved[:, j]
-        out[layer] *= 0.5
+        out[layer] = 0.5 * moved.reshape(n_qubits, -1, rows).sum(axis=1)
         if layer:
             d_sites = _chain_ry_adjoint(d_sites, theta[layer])
+    return out
 
 
 def qnn_scores(model: QnnModel, X: np.ndarray, *, half_angles=None) -> np.ndarray:
@@ -345,7 +335,7 @@ def parameter_shift_grad(model: QnnModel, X: np.ndarray, y: np.ndarray, *, half_
     terms = np.empty(theta.shape + (X.shape[0],))
     for start in range(0, X.shape[0], step):
         rows = slice(start, start + step)
-        _grad(theta, pair[:, :, rows], weight[rows], terms[:, :, rows])
+        terms[:, :, rows] = _grad(theta, pair[:, :, rows], weight[rows])
     return terms.sum(axis=2).ravel()
 
 

@@ -867,6 +867,27 @@ def test_evaluate_refuses_an_overflowing_mlp_checkpoint(synth_csv, tmp_path, cap
     assert capsys.readouterr() == ("", f"error: {checkpoint}: {message}\n")
 
 
+def test_evaluate_out_of_memory_names_the_checkpoint(synth_csv, tmp_path, capsys, monkeypatch):
+    # a checkpoint too deep to score (e.g. `qnn 8 24 7`) fails in numpy's
+    # allocator; the stub raises that error without allocating anything
+    reduced = tmp_path / "reduced.csv"
+    assert main(
+        ["preprocess", "--data-path", str(synth_csv), "--seed", "5",
+         "--pca-components", "2", "--output", str(reduced)]
+    ) == 0
+    capsys.readouterr()
+    checkpoint = tmp_path / "qnn_model.txt"
+    checkpoint.write_text("qnn 2 1 1\n0.5\n0.5\n")
+    message = "Unable to allocate 8.00 GiB for an array"
+
+    def out_of_memory(model, X):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "qnn_scores", out_of_memory)
+    assert main(["evaluate", "--checkpoint", str(checkpoint), "--input", str(reduced)]) == 1
+    assert capsys.readouterr() == ("", f"error: {checkpoint}: {message}\n")
+
+
 def test_evaluate_width_mismatch_names_both_files(synth_csv, tmp_path, capsys):
     reduced = tmp_path / "reduced.csv"
     assert main(

@@ -154,11 +154,12 @@ def test_forward_scores_bounded():
 
 
 def test_batch_scores_match_single_forward():
-    # 8 x 3 has bond 4, so its sums run over eight terms; 4 x 4 has bond 8.
-    # The gradient's terms must match one row at a time too: in a one-row
-    # block a bond can become the innermost axis, where numpy may sum in
-    # another order, and a non-contiguous operand can reorder einsum's loops
-    for n, layers in ((4, 2), (8, 2), (8, 3), (4, 4)):
+    # 8 x 3 has bond 4, so its sums run over eight terms; 4 x 4 has bond 8,
+    # and 8 x 5 bond 16 with four chain adjoints. The gradient's terms must
+    # match one row at a time too: a one-row block is computed as two rows,
+    # because a lone row would leave a bond innermost, where numpy may sum
+    # in another order, and a non-contiguous operand can reorder einsum's loops
+    for n, layers in ((4, 2), (8, 2), (8, 3), (4, 4), (8, 5)):
         rng = np.random.default_rng(4)
         model = model_with(n, layers, seed=8)
         X = rng.uniform(0, 1, size=(9, n))
@@ -166,11 +167,9 @@ def test_batch_scores_match_single_forward():
         singles = np.array([qnn_scores(model, x[None, :])[0] for x in X])
         np.testing.assert_array_equal(batch, singles)
         theta, pair, weight = model.params.reshape(layers, n), _half_angles(X), rng.uniform(-1, 1, 9)
-        terms, single_terms = np.empty((2, layers, n, 9))
-        _grad(theta, pair, weight, terms)
-        for i in range(9):
-            _grad(theta, pair[:, :, i : i + 1], weight[i : i + 1], single_terms[:, :, i : i + 1])
-        assert terms.tobytes() == single_terms.tobytes()
+        terms = _grad(theta, pair, weight)
+        single_terms = [_grad(theta, pair[:, :, i : i + 1], weight[i : i + 1]) for i in range(9)]
+        assert terms.tobytes() == np.concatenate(single_terms, axis=2).tobytes()
 
 
 def test_scores_do_not_depend_on_row_blocks():
@@ -302,8 +301,8 @@ def test_gradient_zero_past_margin():
     np.testing.assert_array_equal(grad, np.zeros(2))
 
 
-# one block of all 11 rows, and blocks of 3 rows (24 * k * 4**layers bytes per row)
-@pytest.mark.parametrize("block_bytes", [3 * 2**20, 3 * 24 * 3 * 4**2])
+# one block of all 11 rows, blocks of 3 rows and of one (24 * k * 4**layers bytes per row)
+@pytest.mark.parametrize("block_bytes", [3 * 2**20, 3 * 24 * 3 * 4**2, 24 * 3 * 4**2])
 def test_gradient_over_a_batch_with_rows_on_the_margin(monkeypatch, block_bytes):
     # under zero angles a row of zero features scores exactly +1: with label +1
     # it sits on the margin and weighs 0, among rows inside the margin
@@ -478,8 +477,7 @@ def test_mps_matches_statevector(n, layers):
     X = rng.uniform(0, 1, size=(40, n))
     weight = rng.uniform(-1, 1, 40)
     assert np.max(np.abs(_scores(theta, _half_angles(X)) - statevector.scores(theta, X))) <= 1e-13
-    terms = np.empty((layers, n, len(X)))
-    _grad(theta, _half_angles(X), weight, terms)
+    terms = _grad(theta, _half_angles(X), weight)
     assert np.max(np.abs(terms.sum(axis=2) - statevector.grad(theta, X, weight))) <= 1e-13
 
 
